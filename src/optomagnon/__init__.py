@@ -58,6 +58,7 @@ from .protocol import (
     consistency_check_thermal,
     entangle_stage,
     exact_joint_statistics,
+    exact_phase_statistics,
     ideal_target_state,
     mean_thermal_occupation,
     read_stage,
@@ -69,11 +70,16 @@ from .montecarlo import (
     ClickRecord,
     EstimateWithError,
     EstimatorError,
+    click_fractions,
+    count_table,
     estimate_g2,
     estimate_witness,
     records_from_csv,
     records_to_csv,
+    sample_chunks,
+    sample_counts,
     sample_trials,
+    write_records,
 )
 
 __version__ = "0.1.0"

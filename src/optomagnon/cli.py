@@ -8,7 +8,8 @@ Commands
     oracle-compare   MC estimators vs exact engine values at 4 sigma
 
 Every command is deterministic given (config file, seed): reruns produce
-identical bytes, whatever the worker count.  Exit codes: 0 success,
+identical bytes.  ``--workers`` is accepted and changes nothing.  Each
+command builds the exact engine once.  Exit codes: 0 success,
 2 config parse error, 3 domain error, 4 runtime error, 5 oracle-compare
 failure.
 """
@@ -37,9 +38,9 @@ from .protocol import (
     closed_form_fidelity,
     entangle_stage,
     exact_joint_statistics,
+    exact_phase_statistics,
     ideal_target_state,
     separable_baseline,
-    witness_exact,
     witness_ratio,
 )
 
@@ -230,30 +231,32 @@ def _witness_columns(with_mc: bool) -> tuple[str, ...]:
 
 
 def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int,
-                      stokes_detector: int, trials: int, seed: Optional[int],
-                      workers: int) -> None:
-    """Exact witness curve; MC companion columns when trials > 0."""
-    grid = _phase_grid(grid_points)
-    points = witness_exact(config, grid, stokes_detector)
-    mc_points = None
-    if trials > 0:
-        records_by_phase = {}
-        for k, phi in enumerate(grid):
-            cfg = replace(config, read_phase_rad=float(phi))
-            records_by_phase[float(phi)] = montecarlo.sample_trials(
-                cfg, trials, seed=seed, workers=workers, stream_tags=(k,))
-        mc_points = montecarlo.estimate_witness(records_by_phase, stokes_detector)
+                      stokes_detector: int, trials: int, seed: Optional[int]) -> None:
+    """Exact witness curve; MC companion columns when trials > 0.
 
+    Each phase's exact statistics come from one engine and feed both the
+    exact columns and the sampler.  A phase whose counts cannot give an
+    estimate (a zero marginal) leaves its MC cells empty.
+    """
+    phase_stats = exact_phase_statistics(config, _phase_grid(grid_points))
+    epsilon = config.witness_divergence_epsilon
+    points = [stats.witness_point(stokes_detector, epsilon) for stats in phase_stats]
     rows = []
-    for k, point in enumerate(points):
+    for k, (stats, point) in enumerate(zip(phase_stats, points)):
         row = [point.delta_phi, point.stokes_detector, point.g2_a1, point.g2_a2,
                point.r_m, point.divergent]
-        if mc_points is not None:
-            mc = mc_points[k]
-            row += [mc.g2_a1, mc.g2_a1_error, mc.g2_a2, mc.g2_a2_error,
-                    mc.r_m, mc.r_m_error]
+        if trials > 0:
+            counts = montecarlo.sample_counts(config, trials, seed=seed, stream_tags=(k,),
+                                              statistics=stats)
+            try:
+                mc = montecarlo.estimate_witness({point.delta_phi: counts}, stokes_detector)[0]
+            except montecarlo.EstimatorError:
+                row += [None] * 6
+            else:
+                row += [mc.g2_a1, mc.g2_a1_error, mc.g2_a2, mc.g2_a2_error,
+                        mc.r_m, mc.r_m_error]
         rows.append(row)
-    write_table(_witness_columns(mc_points is not None), rows, fmt, out)
+    write_table(_witness_columns(trials > 0), rows, fmt, out)
 
 
 def run_baseline(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int,
@@ -268,18 +271,13 @@ def run_baseline(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int
 
 
 def run_mc_run(config: ProtocolConfig, fmt: str, out: TextIO, trials: int,
-               seed: Optional[int], workers: int) -> None:
-    records = montecarlo.sample_trials(config, trials, seed=seed, workers=workers)
-    if fmt == "csv":
-        out.write(montecarlo.records_to_csv(records))
-    else:
-        payload = [dataclasses.asdict(r) for r in records]
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+               seed: Optional[int]) -> None:
+    """Sampled per-trial records, streamed to ``out`` chunk by chunk."""
+    montecarlo.write_records(montecarlo.sample_chunks(config, trials, seed=seed), out, fmt)
 
 
 def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: int,
-                       seed: Optional[int], workers: int, sigmas: float = 4.0) -> bool:
+                       seed: Optional[int], sigmas: float = 4.0) -> bool:
     """Compare MC estimates against exact engine values; True when all pass.
 
     Meaningful comparisons need on the order of 10^3 trials or more; fewer
@@ -290,8 +288,8 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
         raise ConfigDomainError("oracle-compare needs --trials >= 1")
     stats = exact_joint_statistics(config)
     table = stats.click_pattern_probabilities()
-    records = montecarlo.sample_trials(config, trials, seed=seed, workers=workers)
-    fractions = montecarlo.click_fractions(records)
+    counts = montecarlo.sample_counts(config, trials, seed=seed, statistics=stats)
+    fractions = montecarlo.click_fractions(counts)
 
     rows = []
 
@@ -312,7 +310,7 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
         name = f"g2_A{anti}S1"
         exact = stats.g2_click(anti, 1)
         try:
-            est = montecarlo.estimate_g2(records, anti, 1)
+            est = montecarlo.estimate_g2(counts, anti, 1)
         except montecarlo.EstimatorError:
             rows.append((name, exact, None, None, False))
             continue
@@ -324,7 +322,7 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
                                         config.witness_divergence_epsilon)
     try:
         mc_point = montecarlo.estimate_witness(
-            {config.read_phase_rad: records}, stokes_detector=1)[0]
+            {config.read_phase_rad: counts}, stokes_detector=1)[0]
     except montecarlo.EstimatorError:
         mc_point = None
     if mc_point is None:
@@ -363,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Stokes detector index j for the witness")
     parser.add_argument("--baseline", default="product_thermal",
                         help="separable baseline kind for the baseline command")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; sampling is serial")
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -373,6 +372,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        if args.trials < 0:
+            raise ConfigDomainError(f"--trials must be >= 0, got {args.trials}")
+        if args.grid_points < 1:
+            raise ConfigDomainError(f"--grid-points must be >= 1, got {args.grid_points}")
         config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, rng_seed=args.seed)
@@ -385,17 +388,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 run_fidelity_sweep(config, SweepSpec.parse(args.sweep), args.format, sink)
             elif args.command == "witness-sweep":
                 run_witness_sweep(config, args.format, sink, args.grid_points,
-                                  args.detector, args.trials, args.seed, args.workers)
+                                  args.detector, args.trials, args.seed)
             elif args.command == "baseline":
                 run_baseline(config, args.format, sink, args.grid_points,
                              args.detector, args.baseline)
             elif args.command == "mc-run":
                 if args.trials < 1:
                     raise ConfigDomainError("mc-run requires --trials >= 1")
-                run_mc_run(config, args.format, sink, args.trials, args.seed, args.workers)
+                run_mc_run(config, args.format, sink, args.trials, args.seed)
             elif args.command == "oracle-compare":
-                if not run_oracle_compare(config, args.format, sink, args.trials,
-                                          args.seed, args.workers):
+                if not run_oracle_compare(config, args.format, sink, args.trials, args.seed):
                     return EXIT_ORACLE_FAILURE
         finally:
             if args.out:

@@ -6,19 +6,25 @@ from it (ancestral sampling of the measurement outcomes).  That makes this
 module a pure statistics layer: it validates the counting estimators
 against the exact engine rather than re-deriving the physics.
 
+Trials are drawn in chunks and each chunk is folded into a 4x4 count table
+over (Stokes, anti-Stokes) click categories, the sufficient statistic the
+estimators read.  Per-trial ``ClickRecord`` objects exist only at the
+record edge (``sample_trials``, CSV/JSON), and ``write_records`` streams
+chunks to a sink without holding the run.
+
 Reproducibility contract: a master seed is expanded into fixed-size chunk
 streams through `numpy.random.SeedSequence([seed, *tags, chunk_index])`.
-Chunk boundaries never depend on the worker count, so parallel runs
-reproduce serial runs record for record.
+Chunk boundaries are fixed, so count tables, record lists and streamed
+records of one (seed, tags, n_trials) hold the same trials.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -32,6 +38,9 @@ from .protocol import (
 
 CLICK_CATEGORIES = ("none", "detector1", "detector2", "both")
 CHUNK_TRIALS = 4096
+
+# Outcome code 4 * stokes + anti -> (stokes category, anti category).
+OUTCOMES = tuple((s, a) for s in CLICK_CATEGORIES for a in CLICK_CATEGORIES)
 
 
 class EstimatorError(Exception):
@@ -79,16 +88,17 @@ def _sample_chunk(probabilities: np.ndarray, size: int, seed_entropy: Sequence[i
     return rng.choice(len(probabilities), size=size, p=probabilities)
 
 
-def sample_trials(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
-                  workers: int = 1, stream_tags: Sequence[int] = (),
-                  statistics: Optional[JointStatistics] = None) -> list[ClickRecord]:
-    """Draw per-trial detector outcomes from the exact outcome distribution.
+def sample_chunks(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
+                  stream_tags: Sequence[int] = (),
+                  statistics: Optional[JointStatistics] = None) -> Iterator[np.ndarray]:
+    """Per-trial outcome codes ``4 * stokes + anti``, one array per chunk.
 
-    Deterministic in (config, seed, n_trials): the same inputs give the
-    same records whatever ``workers`` is.  ``stream_tags`` lets callers
-    (e.g. a phase sweep) derive independent sub-streams from one master
-    seed without collisions.  ``statistics`` reuses a precomputed exact
-    distribution, e.g. across replicate runs at the same operating point.
+    The codes index ``OUTCOMES``.  Inputs are checked and the exact
+    distribution is computed on the call; chunks are drawn lazily, so a
+    caller holds one chunk at a time whatever ``n_trials`` is.
+    ``stream_tags`` lets callers (e.g. a phase sweep) derive independent
+    sub-streams from one master seed without collisions.  ``statistics``
+    reuses a precomputed exact distribution.
     """
     if n_trials < 1:
         raise EstimatorError("n_trials must be >= 1")
@@ -97,63 +107,98 @@ def sample_trials(config: ProtocolConfig, n_trials: int, seed: Optional[int] = N
     if statistics is None:
         statistics = exact_joint_statistics(config)
     probabilities = _outcome_probabilities(statistics)
+    entropy = [int(seed), *map(int, stream_tags)]
+    return (_sample_chunk(probabilities, min(CHUNK_TRIALS, n_trials - start),
+                          entropy + [start // CHUNK_TRIALS])
+            for start in range(0, n_trials, CHUNK_TRIALS))
 
-    n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    sizes = [min(CHUNK_TRIALS, n_trials - k * CHUNK_TRIALS) for k in range(n_chunks)]
-    entropies = [[int(seed), *map(int, stream_tags), k] for k in range(n_chunks)]
 
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda args: _sample_chunk(probabilities, args[0], args[1]),
-                zip(sizes, entropies)))
-    else:
-        chunks = [_sample_chunk(probabilities, size, entropy)
-                  for size, entropy in zip(sizes, entropies)]
+def sample_counts(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
+                  stream_tags: Sequence[int] = (),
+                  statistics: Optional[JointStatistics] = None) -> np.ndarray:
+    """4x4 table ``counts[stokes, anti]`` over CLICK_CATEGORIES of sampled trials.
 
+    The table is a sufficient statistic for i.i.d. trials and is what the
+    estimators read.  Same draws as ``sample_trials`` for the same inputs.
+    """
+    counts = np.zeros(len(OUTCOMES), dtype=np.int64)
+    for chunk in sample_chunks(config, n_trials, seed, stream_tags, statistics):
+        counts += np.bincount(chunk, minlength=len(OUTCOMES))
+    return counts.reshape(4, 4)
+
+
+def sample_trials(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
+                  workers: int = 1, stream_tags: Sequence[int] = (),
+                  statistics: Optional[JointStatistics] = None) -> list[ClickRecord]:
+    """Draw per-trial detector outcomes from the exact outcome distribution.
+
+    Deterministic in (config, seed, n_trials), see ``sample_chunks``.
+    ``workers`` is accepted and ignored: chunks are drawn serially, which
+    outran a thread pool on two cores.
+    """
     records = []
-    trial = 0
-    for chunk in chunks:
-        for outcome in chunk:
-            s_cat, a_cat = divmod(int(outcome), 4)
-            records.append(ClickRecord(
-                trial_index=trial,
-                stokes_click=CLICK_CATEGORIES[s_cat],
-                antistokes_click=CLICK_CATEGORIES[a_cat]))
-            trial += 1
+    for chunk in sample_chunks(config, n_trials, seed, stream_tags, statistics):
+        start = len(records)
+        records.extend(ClickRecord(start + i, *OUTCOMES[code])
+                       for i, code in enumerate(chunk.tolist()))
     return records
 
 
-def click_fractions(records: Sequence[ClickRecord]) -> dict[str, float]:
-    """Per-category fractions for both detection windows."""
-    n = len(records)
+def count_table(records: Iterable[ClickRecord]) -> np.ndarray:
+    """4x4 count table ``counts[stokes, anti]`` of a record list."""
+    tally = Counter((r.stokes_click, r.antistokes_click) for r in records)
+    counts = np.zeros((4, 4), dtype=np.int64)
+    for (stokes, anti), n in tally.items():
+        counts[CLICK_CATEGORIES.index(stokes), CLICK_CATEGORIES.index(anti)] = n
+    return counts
+
+
+def _as_table(counts) -> np.ndarray:
+    counts = np.asarray(counts)
+    if counts.shape != (4, 4):
+        raise EstimatorError(
+            f"expected a 4x4 count table over CLICK_CATEGORIES, got shape {counts.shape}")
+    return counts
+
+
+# Estimator arithmetic stays in Python ints: NumPy would turn n_s * n_a into
+# a float before dividing, which rounds once the product passes 2**53.
+
+
+def click_fractions(counts: np.ndarray) -> dict[str, float]:
+    """Per-category fractions for both detection windows of a count table."""
+    counts = _as_table(counts)
+    n = int(counts.sum())
+    if n == 0:
+        raise EstimatorError("no trials")
     out = {}
-    for category in CLICK_CATEGORIES:
-        out[f"stokes_{category}"] = sum(r.stokes_click == category for r in records) / n
-        out[f"antistokes_{category}"] = sum(r.antistokes_click == category for r in records) / n
+    for k, category in enumerate(CLICK_CATEGORIES):
+        out[f"stokes_{category}"] = int(counts[k, :].sum()) / n
+        out[f"antistokes_{category}"] = int(counts[:, k].sum()) / n
     return out
 
 
-def estimate_g2(records: Sequence[ClickRecord], anti_detector: int,
+def estimate_g2(counts: np.ndarray, anti_detector: int,
                 stokes_detector: int) -> EstimateWithError:
     """Coincidence estimator N_coinc N / (N_anti N_stokes) with counting error.
 
-    Uses exclusive single-detector outcomes: trials where both detectors of
-    a window fired are counted in the records but excluded here, mirroring
-    the herald rule that discards double clicks.  The standard error is the
-    Poisson propagation sqrt(1/N_coinc + 1/N_anti + 1/N_stokes) relative;
-    with zero coincidences it falls back to the one-count scale.
+    Reads a count table.  Uses exclusive single-detector outcomes: trials
+    where both detectors of a window fired are counted in the table but
+    excluded here, mirroring the herald rule that discards double clicks.
+    The standard error is the Poisson propagation
+    sqrt(1/N_coinc + 1/N_anti + 1/N_stokes) relative; with zero
+    coincidences it falls back to the one-count scale.
     """
     if anti_detector not in (1, 2) or stokes_detector not in (1, 2):
         raise EstimatorError("detector indices must be 1 or 2")
-    n = len(records)
+    counts = _as_table(counts)
+    n = int(counts.sum())
     if n == 0:
-        raise EstimatorError("no records")
-    s_key = f"detector{stokes_detector}"
-    a_key = f"detector{anti_detector}"
-    n_s = sum(r.stokes_click == s_key for r in records)
-    n_a = sum(r.antistokes_click == a_key for r in records)
-    n_c = sum(r.stokes_click == s_key and r.antistokes_click == a_key for r in records)
+        raise EstimatorError("no trials")
+    # category k of CLICK_CATEGORIES is "detector k" for k = 1, 2
+    n_s = int(counts[stokes_detector, :].sum())
+    n_a = int(counts[:, anti_detector].sum())
+    n_c = int(counts[stokes_detector, anti_detector])
     if n_s == 0:
         raise EstimatorError(f"zero Stokes counts at detector {stokes_detector}")
     if n_a == 0:
@@ -166,19 +211,18 @@ def estimate_g2(records: Sequence[ClickRecord], anti_detector: int,
     return EstimateWithError(value=value, standard_error=value * rel, n_trials=n)
 
 
-def estimate_witness(records_by_phase: Mapping[float, Sequence[ClickRecord]],
+def estimate_witness(counts_by_phase: Mapping[float, np.ndarray],
                      stokes_detector: int, divergence_sigmas: float = 2.0) -> list[WitnessPoint]:
-    """Witness estimates over a phase grid, with delta-method errors.
+    """Witness estimates over a phase grid of count tables, with delta-method errors.
 
     A point is flagged divergent when the estimated denominator
     (g2_A1 - g2_A2) lies within ``divergence_sigmas`` standard errors of
     zero; flagged points carry an infinite value instead of a NaN.
     """
     points = []
-    for delta_phi in records_by_phase:
-        records = records_by_phase[delta_phi]
-        est1 = estimate_g2(records, 1, stokes_detector)
-        est2 = estimate_g2(records, 2, stokes_detector)
+    for delta_phi, counts in counts_by_phase.items():
+        est1 = estimate_g2(counts, 1, stokes_detector)
+        est2 = estimate_g2(counts, 2, stokes_detector)
         g1, g2 = est1.value, est2.value
         s1, s2 = est1.standard_error, est2.standard_error
         diff = g1 - g2
@@ -213,6 +257,32 @@ def records_to_csv(records: Iterable[ClickRecord]) -> str:
     lines = [RECORD_HEADER]
     lines.extend(f"{r.trial_index},{r.stokes_click},{r.antistokes_click}" for r in records)
     return "\n".join(lines) + "\n"
+
+
+# Per-outcome record tails: the text after the trial index, byte-identical to
+# records_to_csv lines and to json.dumps(indent=2) of the record dicts.
+_CSV_TAILS = tuple(f",{s},{a}\n" for s, a in OUTCOMES)
+_JSON_HEAD = '\n  {\n    "trial_index": '
+_JSON_TAILS = tuple(f',\n    "stokes_click": "{s}",\n    "antistokes_click": "{a}"\n  }}'
+                    for s, a in OUTCOMES)
+
+
+def write_records(chunks: Iterable[np.ndarray], out: TextIO, fmt: str = "csv") -> None:
+    """Stream sampled chunks to ``out`` as CSV records or a JSON list, chunk by chunk."""
+    if fmt == "csv":
+        head, item, tails, sep, foot = RECORD_HEADER + "\n", "", _CSV_TAILS, "", ""
+    elif fmt == "json":
+        head, item, tails, sep, foot = "[", _JSON_HEAD, _JSON_TAILS, ",", "\n]\n"
+    else:
+        raise EstimatorError(f"unknown record format {fmt!r}")
+    out.write(head)
+    start = 0
+    for chunk in chunks:
+        text = sep.join(item + str(start + i) + tails[code]
+                        for i, code in enumerate(chunk.tolist()))
+        out.write((sep if start else "") + text)
+        start += len(chunk)
+    out.write(foot)
 
 
 def records_from_csv(text: str) -> list[ClickRecord]:

@@ -75,7 +75,6 @@ from .fock import (
     MultiModeState,
     apply_unitary,
     build_basis,
-    embed_single_mode,
     fidelity_with_pure,
     partial_trace,
 )
@@ -205,11 +204,12 @@ class ProtocolConfig:
                 f"pulse_mean_photons = {self.pulse_mean_photons} is outside the weak-pulse "
                 f"regime (<< 1); higher-order photon terms grow",
                 ProtocolRegimeWarning, stacklevel=2)
-        if self.stokes_probability > REGIME_LIMIT:
-            warnings.warn(
-                f"stokes_probability = {self.stokes_probability} is outside the "
-                f"single-scattering regime (<< 1)",
-                ProtocolRegimeWarning, stacklevel=2)
+        for name in ("stokes_probability", "stokes_probability_b"):
+            value = getattr(self, name)
+            if value is not None and value > REGIME_LIMIT:
+                warnings.warn(
+                    f"{name} = {value} is outside the single-scattering regime (<< 1)",
+                    ProtocolRegimeWarning, stacklevel=2)
 
     @property
     def mean_thermal_magnons(self) -> float:
@@ -340,39 +340,36 @@ def _pump_split(pulse_mean_photons: float) -> tuple[complex, complex]:
     return alpha / math.sqrt(2.0), 1j * alpha / math.sqrt(2.0)
 
 
-def _shift_block(cutoff: int, steps: int) -> np.ndarray:
-    """|n> -> |n + steps| with unit amplitude; drops weight past the cutoff."""
-    d = cutoff + 1
-    block = np.zeros((d, d), dtype=complex)
-    for n in range(d - steps):
-        block[n + steps, n] = 1.0
-    return block
-
-
 def _apply_thermal_overlay(rho: DensityOperator, nbar: float,
                            labels: Sequence[str]) -> tuple[DensityOperator, float]:
     """Classical-mixture bookkeeping of residual thermal occupation.
 
     Each magnon mode independently starts with n quanta with geometric
     weight (1-S) S^n; those quanta ride along unchanged on top of the
-    protocol state (no bosonic stimulation).  Weight pushed past a cutoff
-    is dropped and reported.
+    protocol state (no bosonic stimulation).  Shifting a mode up by n is a
+    slice-add on its ket and bra axes of the ``dims + dims`` tensor.
+    Weight pushed past a cutoff is dropped and reported.
     """
     registry = rho.registry
-    out = np.zeros_like(rho.matrix)
-    shifted = {}
+    dims = registry.dims
+    tensor = rho.matrix.reshape(dims + dims)
+    out = np.zeros_like(tensor)
+    shifts = []
     for label in labels:
-        cutoff = registry.cutoff_of(label)
-        weights = _geometric_weights(nbar, cutoff)
-        shifted[label] = [
-            (w, embed_single_mode(registry, label, _shift_block(cutoff, n)).matrix)
-            for n, w in enumerate(weights) if w > 0.0
-        ]
-    label_a, label_b = labels
-    for w_a, v_a in shifted[label_a]:
-        for w_b, v_b in shifted[label_b]:
-            lifted = v_a @ (v_b @ rho.matrix @ v_b.conj().T) @ v_a.conj().T
-            out += (w_a * w_b) * lifted
+        axis = registry.axis_of(label)
+        weights = _geometric_weights(nbar, registry.cutoff_of(label))
+        shifts.append([(axis, n, w) for n, w in enumerate(weights) if w > 0.0])
+    shifts_a, shifts_b = shifts
+    for axis_a, n_a, w_a in shifts_a:
+        for axis_b, n_b, w_b in shifts_b:
+            dst = [slice(None)] * tensor.ndim
+            src = [slice(None)] * tensor.ndim
+            for axis, n in ((axis_a, n_a), (axis_b, n_b)):
+                for ax in (axis, axis + len(dims)):
+                    dst[ax] = slice(n, dims[axis])
+                    src[ax] = slice(0, dims[axis] - n)
+            out[tuple(dst)] += (w_a * w_b) * tensor[tuple(src)]
+    out = out.reshape(rho.matrix.shape)
     retained = float(np.trace(out).real)
     leak = max(0.0, 1.0 - retained)
     return DensityOperator(registry, out / retained), leak
@@ -620,6 +617,17 @@ class JointStatistics:
             raise ZeroIntensityError("a detector click rate vanished; nothing to correlate")
         return p_joint / (p_s * p_a)
 
+    def witness_point(self, stokes_detector: int, epsilon: float) -> WitnessPoint:
+        """Exact witness at this read phase from the pre-detection moments."""
+        if stokes_detector not in (1, 2):
+            raise ProtocolError("stokes_detector must be 1 or 2")
+        g2_a1 = self.g2_number(1, stokes_detector)
+        g2_a2 = self.g2_number(2, stokes_detector)
+        value, divergent = witness_ratio(g2_a1, g2_a2, epsilon)
+        return WitnessPoint(
+            delta_phi=self.delta_phi, stokes_detector=stokes_detector,
+            g2_a1=g2_a1, g2_a2=g2_a2, r_m=value, divergent=divergent)
+
 
 def witness_ratio(g2_a1: float, g2_a2: float, epsilon: float) -> tuple[float, bool]:
     """Witness value from the two cross-coherences; +inf with a flag when balanced."""
@@ -674,18 +682,9 @@ class _WitnessEngine:
                                detector=self.config.detector)
 
     def witness_points(self, phase_grid: Sequence[float], stokes_detector: int) -> list[WitnessPoint]:
-        if stokes_detector not in (1, 2):
-            raise ProtocolError("stokes_detector must be 1 or 2")
-        points = []
-        for delta_phi in phase_grid:
-            stats = self.statistics(float(delta_phi))
-            g2_a1 = stats.g2_number(1, stokes_detector)
-            g2_a2 = stats.g2_number(2, stokes_detector)
-            value, divergent = witness_ratio(g2_a1, g2_a2, self.config.witness_divergence_epsilon)
-            points.append(WitnessPoint(
-                delta_phi=float(delta_phi), stokes_detector=stokes_detector,
-                g2_a1=g2_a1, g2_a2=g2_a2, r_m=value, divergent=divergent))
-        return points
+        epsilon = self.config.witness_divergence_epsilon
+        return [self.statistics(float(delta_phi)).witness_point(stokes_detector, epsilon)
+                for delta_phi in phase_grid]
 
 
 def _stokes_sector_blocks(front_rho: DensityOperator) -> dict[tuple[int, int], np.ndarray]:
@@ -752,6 +751,13 @@ def exact_joint_statistics(config: ProtocolConfig, delta_phi: Optional[float] = 
     """Exact detector statistics of one unconditioned run at one read phase."""
     engine = _WitnessEngine.from_protocol(config)
     return engine.statistics(config.read_phase_rad if delta_phi is None else float(delta_phi))
+
+
+def exact_phase_statistics(config: ProtocolConfig,
+                           phase_grid: Sequence[float]) -> list[JointStatistics]:
+    """Exact detector statistics at every read phase of a grid, from one front build."""
+    engine = _WitnessEngine.from_protocol(config)
+    return [engine.statistics(float(delta_phi)) for delta_phi in phase_grid]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from optomagnon.fock import (
     build_basis,
     fidelity_with_pure,
 )
-from optomagnon.montecarlo import click_fractions, estimate_g2, estimate_witness, sample_trials
+from optomagnon.montecarlo import click_fractions, estimate_g2, estimate_witness, sample_counts
 from optomagnon.protocol import (
     ProtocolConfig,
     closed_form_fidelity,
@@ -171,8 +171,8 @@ def test_criterion_8_monte_carlo_matches_exact_engine():
         stats = exact_joint_statistics(cfg)
         table = stats.click_pattern_probabilities()
         n = 100_000
-        records = sample_trials(cfg, n, seed=60, statistics=stats)
-        fractions = click_fractions(records)
+        counts = sample_counts(cfg, n, seed=60, statistics=stats)
+        fractions = click_fractions(counts)
 
         def rate_check(exact, estimate):
             sigma = math.sqrt(exact * (1.0 - exact) / n)
@@ -184,10 +184,10 @@ def test_criterion_8_monte_carlo_matches_exact_engine():
         rate_check(float(table[:, 2].sum()), fractions["antistokes_detector2"])
 
         for anti in (1, 2):
-            est = estimate_g2(records, anti, 1)
+            est = estimate_g2(counts, anti, 1)
             assert abs(est.value - stats.g2_click(anti, 1)) <= 4.0 * est.standard_error
 
-        point = estimate_witness({cfg.read_phase_rad: records}, stokes_detector=1)[0]
+        point = estimate_witness({cfg.read_phase_rad: counts}, stokes_detector=1)[0]
         exact_rm, exact_div = witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1), 1e-12)
         assert not exact_div and not point.divergent
         assert abs(point.r_m - exact_rm) <= 4.0 * point.r_m_error
@@ -203,9 +203,9 @@ def test_criterion_8_monte_carlo_matches_exact_engine():
             for tag, size in ((3, 1_000), (4, 10_000), (5, 100_000)):
                 errs = []
                 for rep in range(24):
-                    recs = sample_trials(cfg, size, seed=1000 + rep,
-                                         stream_tags=(tag,), statistics=stats)
-                    errs.append(abs(click_fractions(recs)[key] - exact_rate))
+                    tally = sample_counts(cfg, size, seed=1000 + rep,
+                                          stream_tags=(tag,), statistics=stats)
+                    errs.append(abs(click_fractions(tally)[key] - exact_rate))
                 errors[size] = float(np.mean(errs))
             ratios.append(errors[1_000] / errors[100_000])
         for ratio in ratios:

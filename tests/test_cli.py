@@ -1,5 +1,7 @@
+import hashlib
 import json
 import logging
+import warnings
 
 import pytest
 
@@ -15,6 +17,9 @@ from optomagnon.cli import (
     main,
     parse_config_text,
 )
+
+COUNTING_CFG = ("pulse_mean_photons = 0.1\nstokes_probability = 0.1\n"
+                "read_swap_angle_rad = 1.5707963267948966\n")
 
 REFERENCE_CFG = """
 # reference operating point
@@ -224,3 +229,69 @@ def test_oracle_compare_single_trial_report_is_well_formed(tmp_path):
     assert lines[0] == "observable,exact,mc_estimate,sigma,passed"
     assert len(lines) == 9
     assert code in (EXIT_OK, 5)
+
+
+def test_mc_run_bytes_are_pinned(tmp_path):
+    # sha256 of these records as the per-record sampler wrote them, before
+    # sampling moved to chunked count tables and streamed output
+    cfg = _write(tmp_path, "counting.cfg", COUNTING_CFG)
+    out = tmp_path / "mc.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = _run(["mc-run", "--config", cfg, "--trials", "10000", "--seed", "9",
+                     "--out", str(out)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "30d76c6f0c6860c5c0c407c34439b7f0cf287e9c2d609cff6f384061dfa51030")
+
+
+@pytest.mark.parametrize("args", [
+    ["witness-sweep", "--grid-points", "5", "--trials", "2000", "--seed", "4"],
+    ["oracle-compare", "--trials", "20000", "--seed", "6"],
+])
+def test_sampler_commands_build_the_front_state_once(tmp_path, monkeypatch, args):
+    from optomagnon import protocol
+
+    calls = []
+    original = protocol.entangle_front_state
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(protocol, "entangle_front_state", counted)
+    cfg = _write(tmp_path, "counting.cfg", COUNTING_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = _run([args[0], "--config", cfg, *args[1:], "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["witness-sweep", "--grid-points", "-1"], "--grid-points"),
+    (["baseline", "--grid-points", "-2"], "--grid-points"),
+    (["witness-sweep", "--trials", "-5"], "--trials"),
+])
+def test_negative_counts_are_domain_errors(capsys, args, flag):
+    assert _run(args) == EXIT_DOMAIN_ERROR
+    assert flag in capsys.readouterr().err
+
+
+def test_witness_sweep_zero_count_phases_leave_mc_cells_empty(tmp_path):
+    # at the reference point a Stokes click comes once in ~2e4 trials, so
+    # 2000 trials per phase leave phases with zero counts
+    args = ["witness-sweep", "--grid-points", "5", "--trials", "2000", "--seed", "7"]
+    csv_out, json_out = tmp_path / "w.csv", tmp_path / "w.json"
+    assert _run(args + ["--out", str(csv_out)]) == EXIT_OK
+    assert _run(args + ["--format", "json", "--out", str(json_out)]) == EXIT_OK
+    rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+    payload = json.loads(json_out.read_text())
+    assert len(rows) == len(payload) == 5
+    mc_columns = [key for key in payload[0] if key.startswith("mc_")]
+    assert len(mc_columns) == 6
+    empty = [k for k, row in enumerate(rows) if row[6:] == [""] * 6]
+    assert empty
+    assert all(k in empty or "" not in row[6:10] for k, row in enumerate(rows))
+    for k in empty:
+        assert all(payload[k][key] is None for key in mc_columns)

@@ -10,6 +10,11 @@ from optomagnon.fock import (
     ANTISTOKES_B,
     MAGNON_A,
     MAGNON_B,
+    STOKES_A,
+    STOKES_B,
+    DensityOperator,
+    ModeRegistry,
+    embed_single_mode,
     expectation,
     fidelity_with_pure,
     number_operator,
@@ -21,10 +26,12 @@ from optomagnon.protocol import (
     ProtocolError,
     ProtocolRegimeWarning,
     ZeroIntensityError,
+    _apply_thermal_overlay,
     closed_form_fidelity,
     consistency_check_thermal,
     entangle_stage,
     exact_joint_statistics,
+    exact_phase_statistics,
     ideal_target_state,
     mean_thermal_occupation,
     read_stage,
@@ -67,6 +74,51 @@ def test_regime_warnings():
         ProtocolConfig(pulse_mean_photons=0.2)
     with pytest.warns(ProtocolRegimeWarning):
         ProtocolConfig(stokes_probability=0.2)
+
+
+def test_regime_warning_covers_arm_b_scattering():
+    with pytest.warns(ProtocolRegimeWarning, match="stokes_probability_b"):
+        ProtocolConfig(stokes_probability_b=0.2)
+
+
+def test_thermal_overlay_matches_embedded_shift_sandwiches():
+    # reference: each pair of initial occupations (n_a, n_b) lifts the state
+    # by V_a V_b rho V_b^+ V_a^+ with full-space shift operators
+    registry = ModeRegistry.of((STOKES_A, 2), (STOKES_B, 1), (MAGNON_A, 3), (MAGNON_B, 2))
+    rng = np.random.default_rng(3)
+    d = registry.dimension
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = DensityOperator(registry, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    s = 0.3 / 1.3
+
+    def shifts(label):
+        cutoff = registry.cutoff_of(label)
+        out = []
+        for n in range(cutoff + 1):
+            block = np.zeros((cutoff + 1, cutoff + 1))
+            for k in range(cutoff + 1 - n):
+                block[k + n, k] = 1.0
+            out.append(((1.0 - s) * s**n, embed_single_mode(registry, label, block).matrix))
+        return out
+
+    expected = np.zeros((d, d), dtype=complex)
+    for w_a, v_a in shifts(MAGNON_A):
+        for w_b, v_b in shifts(MAGNON_B):
+            expected += (w_a * w_b) * (v_a @ (v_b @ rho.matrix @ v_b.conj().T) @ v_a.conj().T)
+    retained = float(np.trace(expected).real)
+    got, leak = _apply_thermal_overlay(rho, 0.3, (MAGNON_A, MAGNON_B))
+    assert np.array_equal(got.matrix, expected / retained)
+    assert leak == max(0.0, 1.0 - retained)
+
+
+def test_phase_statistics_give_the_exact_witness_curve():
+    cfg = ProtocolConfig()
+    grid = np.linspace(0.0, 2.0 * math.pi, 5)
+    points = [stats.witness_point(1, cfg.witness_divergence_epsilon)
+              for stats in exact_phase_statistics(cfg, grid)]
+    assert points == witness_exact(cfg, grid, stokes_detector=1)
+    with pytest.raises(ProtocolError):
+        exact_phase_statistics(cfg, grid[:1])[0].witness_point(3, 1e-8)
 
 
 # ---------------------------------------------------------------------------
