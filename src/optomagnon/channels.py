@@ -32,6 +32,7 @@ from .fock import (
     embed_mode_pair,
     embed_single_mode,
     partial_trace,
+    sandwich,
     single_mode_annihilation,
 )
 
@@ -220,12 +221,7 @@ def loss_channel(rho: DensityOperator, mode: str, transmissivity: float,
         return rho
 
     if method == "kraus":
-        out = np.zeros_like(rho.matrix)
-        for block in _loss_kraus_blocks(cutoff, transmissivity):
-            kraus = embed_single_mode(registry, mode, block).matrix
-            # K rho K+ = K (K rho)+ for Hermitian rho: two sparse-dense products
-            out += kraus @ (kraus @ rho.matrix).conj().T
-        return DensityOperator(registry, out)
+        return DensityOperator(registry, loss_kraus_sum(rho.matrix, registry, mode, transmissivity))
 
     if method == "dilation":
         env_label = f"env_{mode}"
@@ -238,6 +234,17 @@ def loss_channel(rho: DensityOperator, mode: str, transmissivity: float,
         return partial_trace(mixed, registry.labels)
 
     raise ChannelError(f"unknown loss method {method!r}")
+
+
+def loss_kraus_sum(matrices: np.ndarray, registry: ModeRegistry, mode: str,
+                   transmissivity: float) -> np.ndarray:
+    """Binomial Kraus sum of the pure-loss map on a matrix or a stack of matrices."""
+    if transmissivity == 1.0:
+        return matrices
+    out = np.zeros_like(matrices)
+    for block in _loss_kraus_blocks(registry.cutoff_of(mode), transmissivity):
+        out += sandwich(embed_single_mode(registry, mode, block).matrix, matrices)
+    return out
 
 
 def _vacuum_matrix(cutoff: int) -> np.ndarray:

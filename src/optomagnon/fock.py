@@ -425,6 +425,21 @@ def identity_operator(registry: ModeRegistry) -> ModeOperator:
     return ModeOperator(registry, sp.identity(registry.dimension, dtype=complex, format="csr"))
 
 
+def sandwich(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``op x op+`` as op (op x)+ for a Hermitian ``x`` or each matrix of a stack ``x[..., q, q]``.
+
+    Two CSR products on column-stacked operands: each output element sums one
+    row of ``op`` in stored order, so it is bit-identical whatever the stack
+    size, and under any row/column slice of ``op`` that drops only zero terms.
+    """
+    *lead, q, _ = x.shape
+    n, p = math.prod(lead), op.shape[0]
+    half = op @ np.moveaxis(x.reshape(n, q, q), 0, 1).reshape(q, n * q)
+    half = np.conjugate(half.reshape(p, n, q).transpose(2, 1, 0), order="C")
+    out = op @ half.reshape(q, n * p)
+    return np.moveaxis(out.reshape(p, n, p), 1, 0).reshape(*lead, p, p)
+
+
 def apply_unitary(obj, unitary: ModeOperator):
     """Evolve a pure state (U|psi>) or a density (U rho U+); returns the same kind."""
     _require_same_registry(obj.registry, unitary.registry)
@@ -432,9 +447,7 @@ def apply_unitary(obj, unitary: ModeOperator):
     if isinstance(obj, MultiModeState):
         return MultiModeState(obj.registry, u @ obj.amplitudes)
     if isinstance(obj, DensityOperator):
-        # U rho U+ as U (U rho)+ for Hermitian rho: two sparse-dense products.
-        half = u @ obj.matrix
-        return DensityOperator(obj.registry, u @ half.conj().T)
+        return DensityOperator(obj.registry, sandwich(u, obj.matrix))
     raise TypeError(f"cannot apply a unitary to {type(obj).__name__}")
 
 

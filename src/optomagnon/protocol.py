@@ -56,6 +56,7 @@ from .channels import (
     beamsplitter_unitary,
     click_measurement,
     loss_channel,
+    loss_kraus_sum,
     phase_shift_unitary,
     squeezer_vacuum_tail,
     swap_coupler_unitary,
@@ -76,7 +77,7 @@ from .fock import (
     apply_unitary,
     build_basis,
     fidelity_with_pure,
-    partial_trace,
+    sandwich,
 )
 
 # Which superposition sign each herald detector projects onto, under the
@@ -89,8 +90,10 @@ CONSISTENCY_DISTANCE_CONSTANT = 2.0
 REGIME_LIMIT = 0.1
 
 # Largest density-matrix dimension a pipeline stage may allocate; the four
-# active modes at the default cutoffs use 256.
-PIPELINE_MAX_DIMENSION = 65536
+# active modes at the default cutoffs use 256.  Peak memory is about 3.2
+# dense complex matrices of this dimension (857 MB at cutoffs 7/7, D = 4096),
+# so the limit admits cutoffs 8/8 (D = 6561) and rejects 9/9.
+PIPELINE_MAX_DIMENSION = 8192
 
 
 class ProtocolError(FockSpaceError):
@@ -193,8 +196,9 @@ class ProtocolConfig:
         stage_dimension = ((self.optical_cutoff + 1) * (self.magnon_cutoff + 1)) ** 2
         if stage_dimension > PIPELINE_MAX_DIMENSION:
             raise ProtocolError(
-                f"cutoffs give a stage dimension of {stage_dimension}, above the "
-                f"limit {PIPELINE_MAX_DIMENSION}; lower the cutoffs")
+                f"optical_cutoff = {self.optical_cutoff} and magnon_cutoff = "
+                f"{self.magnon_cutoff} give a stage dimension of {stage_dimension}, above "
+                f"the limit {PIPELINE_MAX_DIMENSION}; lower the cutoffs")
         if self.thermal_model not in ("mixture_overlay", "squeezed_thermal"):
             raise ProtocolError(f"unknown thermal_model {self.thermal_model!r}")
         if self.magnon_decay_delay_ratio < 0:
@@ -471,77 +475,15 @@ def entangle_stage(config: ProtocolConfig) -> HeraldedState:
 # Read-out stage
 
 
-def _read_registry(config: ProtocolConfig) -> ModeRegistry:
-    return ModeRegistry.of(
-        (MAGNON_A, config.magnon_cutoff), (MAGNON_B, config.magnon_cutoff),
-        (ANTISTOKES_A, config.optical_cutoff), (ANTISTOKES_B, config.optical_cutoff))
-
-
-class _ReadOptics:
-    """Phase-independent part of the read pipeline, built once and reused.
-
-    Acts on the four-mode registry (magnon A, magnon B, anti-Stokes A,
-    anti-Stokes B).  Per read phase only a diagonal phase and the closing
-    beamsplitter remain; losses commute with the phase shift so they are
-    folded into the fixed part.
-    """
-
-    def __init__(self, config: ProtocolConfig):
-        self.config = config
-        self.registry = _read_registry(config)
-        theta = config.read_swap_angle_rad
-        self.swap_a = swap_coupler_unitary(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), self.registry)
-        self.swap_b = swap_coupler_unitary(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), self.registry)
-        self.closing_bs = beamsplitter_unitary(
-            BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.registry)
-        self._anti_a_numbers = self._mode_numbers(ANTISTOKES_A)
-
-    def _mode_numbers(self, label: str) -> np.ndarray:
-        axis = self.registry.axis_of(label)
-        cols = np.arange(self.registry.dimension)
-        return (cols // self.registry.strides[axis]) % self.registry.dims[axis]
-
-    def extend_magnon_state(self, rho_magnons: np.ndarray) -> np.ndarray:
-        """Adjoin vacuum anti-Stokes modes to a two-magnon matrix."""
-        co = self.config.optical_cutoff
-        vac = np.zeros(((co + 1) ** 2, (co + 1) ** 2), dtype=complex)
-        vac[0, 0] = 1.0
-        return np.kron(rho_magnons, vac)
-
-    def fixed_evolution(self, rho_magnons: np.ndarray) -> np.ndarray:
-        """Swap conversion and losses; everything that is read-phase independent."""
-        cfg = self.config
-        rho = DensityOperator(self.registry, self.extend_magnon_state(rho_magnons))
-        if cfg.magnon_decay_delay_ratio > 0.0:
-            survival = math.exp(-cfg.magnon_decay_delay_ratio)
-            rho = loss_channel(rho, MAGNON_A, survival)
-            rho = loss_channel(rho, MAGNON_B, survival)
-        rho = apply_unitary(rho, self.swap_a)
-        rho = apply_unitary(rho, self.swap_b)
-        if cfg.propagation_transmissivity_a < 1.0:
-            rho = loss_channel(rho, ANTISTOKES_A, cfg.propagation_transmissivity_a)
-        if cfg.propagation_transmissivity_b < 1.0:
-            rho = loss_channel(rho, ANTISTOKES_B, cfg.propagation_transmissivity_b)
-        return rho.matrix
-
-    def phase_and_mix(self, fixed: np.ndarray, delta_phi: float) -> DensityOperator:
-        """Apply the arm-A read phase and the closing beamsplitter."""
-        phases = np.exp(1j * delta_phi * self._anti_a_numbers)
-        rho = fixed * phases[:, None] * phases[None, :].conj()
-        rho = DensityOperator(self.registry, rho)
-        return apply_unitary(rho, self.closing_bs)
-
-
 def read_stage(heralded: HeraldedState, config: ProtocolConfig) -> DensityOperator:
     """Convert the heralded magnons to anti-Stokes light behind the interferometer.
 
     Returns the two-detector optical state (detector 1 port first) with the
     magnon modes traced out; uses the configured read phase.
     """
-    optics = _ReadOptics(config)
-    fixed = optics.fixed_evolution(heralded.rho_magnons.matrix)
-    mixed = optics.phase_and_mix(fixed, config.read_phase_rad)
-    return partial_trace(mixed, (ANTISTOKES_A, ANTISTOKES_B))
+    engine = _WitnessEngine(config, {(0, 0): heralded.rho_magnons.matrix})
+    mixed = engine.phase_and_mix(config.read_phase_rad)[0]
+    return DensityOperator(engine.antistokes, mixed.sum(axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +580,60 @@ def witness_ratio(g2_a1: float, g2_a2: float, epsilon: float) -> tuple[float, bo
 
 
 class _WitnessEngine:
-    """Shared machinery: Stokes-sector decomposition plus read optics.
+    """Stokes-sector decomposition plus block-restricted read optics.
 
-    Every observable downstream of the herald beamsplitter is diagonal in
-    the Stokes ports and the read channel never touches them, so the front
-    state separates exactly into Stokes-occupation sectors; each sector's
-    (unnormalized) magnon block is pushed through the read optics once per
-    phase.
+    Every observable downstream of the herald beamsplitter is diagonal in the
+    Stokes ports and the read channel never touches them, so the front state
+    separates exactly into Stokes-occupation sectors.  On (magnon A, magnon B,
+    anti-Stokes A, anti-Stokes B) each read stage computes only the blocks its
+    successor reads, down to the magnon-diagonal anti-Stokes blocks the
+    detectors see.  Stage operators are row/column slices of the embedded
+    full-space CSR matrices, so kept elements match the full sandwich bit for bit.
     """
 
     def __init__(self, config: ProtocolConfig, blocks: dict[tuple[int, int], np.ndarray]):
         self.config = config
-        self.optics = _ReadOptics(config)
-        self.fixed_blocks = {
-            key: self.optics.fixed_evolution(block)
-            for key, block in blocks.items()
-        }
+        self.sectors = list(blocks)
+        co = config.optical_cutoff
+        self.antistokes = ModeRegistry.of((ANTISTOKES_A, co), (ANTISTOKES_B, co))
+        self.closing_bs = beamsplitter_unitary(
+            BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.antistokes).matrix
+        self._anti_a_numbers = np.arange(self.antistokes.dimension) // (co + 1)
+        self.fixed = np.ascontiguousarray(self._fixed_evolution(np.stack(list(blocks.values()))))
+
+    def _fixed_evolution(self, rho: np.ndarray) -> np.ndarray:
+        """Phase-independent decay, swaps and losses of a stack of two-magnon
+        matrices, as blocks [sector, n_magnon_a, n_magnon_b, anti-Stokes^2]."""
+        cfg = self.config
+        co, cm, theta = cfg.optical_cutoff, cfg.magnon_cutoff, cfg.read_swap_angle_rad
+        if cfg.magnon_decay_delay_ratio > 0.0:  # before the anti-Stokes vacuum is adjoined
+            survival = math.exp(-cfg.magnon_decay_delay_ratio)
+            for label in (MAGNON_A, MAGNON_B):
+                rho = loss_kraus_sum(rho, cfg.magnon_registry(), label, survival)
+        d = (co + 1) ** 2
+        full = ModeRegistry.of(
+            (MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
+        # swap A: anti-Stokes-vacuum columns in; out, per magnon-A level, the
+        # rows of that level with anti-Stokes B still empty
+        swap_a = swap_coupler_unitary(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), full).matrix[:, ::d]
+        rows = (cm + 1) * d
+        rho = np.stack([sandwich(swap_a[a * rows:(a + 1) * rows:co + 1], rho)
+                        for a in range(cm + 1)], axis=1)
+        # swap B on each magnon-A diagonal block: anti-Stokes-B-vacuum columns
+        # in; out, one magnon-B level of rows at a time
+        arm_b = ModeRegistry.of((MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
+        swap_b = swap_coupler_unitary(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b).matrix
+        swap_b = swap_b[:, ::co + 1]
+        rho = np.stack([sandwich(swap_b[b * d:(b + 1) * d], rho) for b in range(cm + 1)], axis=2)
+        for label, eta in ((ANTISTOKES_A, cfg.propagation_transmissivity_a),
+                           (ANTISTOKES_B, cfg.propagation_transmissivity_b)):
+            rho = loss_kraus_sum(rho, self.antistokes, label, eta)
+        return rho
+
+    def phase_and_mix(self, delta_phi: float) -> np.ndarray:
+        """Arm-A read phase and closing beamsplitter on every fixed block."""
+        phases = np.exp(1j * delta_phi * self._anti_a_numbers)
+        return sandwich(self.closing_bs, self.fixed * phases[:, None] * phases[None, :].conj())
 
     @classmethod
     def from_protocol(cls, config: ProtocolConfig) -> "_WitnessEngine":
@@ -674,10 +654,10 @@ class _WitnessEngine:
     def statistics(self, delta_phi: float) -> JointStatistics:
         co, cm = self.config.optical_cutoff, self.config.magnon_cutoff
         probs = np.zeros((co + 1, co + 1, co + 1, co + 1))
-        for (s1, s2), fixed in self.fixed_blocks.items():
-            mixed = self.optics.phase_and_mix(fixed, delta_phi)
-            diag = mixed.occupation_probabilities().reshape(cm + 1, cm + 1, co + 1, co + 1)
-            probs[s1, s2] += diag.sum(axis=(0, 1))
+        diags = np.diagonal(self.phase_and_mix(delta_phi), axis1=-2, axis2=-1).real.copy()
+        for (s1, s2), diag in zip(self.sectors, diags):
+            # a contiguous (cm+1, cm+1, co+1, co+1) array fixes the summation order
+            probs[s1, s2] += diag.reshape(cm + 1, cm + 1, co + 1, co + 1).sum(axis=(0, 1))
         return JointStatistics(delta_phi=delta_phi, number_probabilities=probs,
                                detector=self.config.detector)
 

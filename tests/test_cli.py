@@ -245,6 +245,36 @@ def test_mc_run_bytes_are_pinned(tmp_path):
         "30d76c6f0c6860c5c0c407c34439b7f0cf287e9c2d609cff6f384061dfa51030")
 
 
+# The lossy cutoff-4 operating point at a temperature whose dark-fringe
+# g2 (0.980158287732) carries about 4e-12 of the read engine's rounding.
+LOSSY_C4_CFG = ("optical_cutoff = 4\nmagnon_cutoff = 4\npropagation_transmissivity_a = 0.8\n"
+                "propagation_transmissivity_b = 0.8\ndetector.efficiency = 0.6\n"
+                "detector.dark_click_probability = 0.0001\nmagnon_decay_delay_ratio = 0.1\n"
+                "temperature_k = 0.026056639852347633\n")
+
+
+@pytest.mark.parametrize("cfg_text, args, digest", [
+    (LOSSY_C4_CFG, ["witness-sweep", "--grid-points", "5"],
+     "dba07fc8f032a2356332258bb9cbcf411747e7358553a729964d13ea5560f635"),
+    (REFERENCE_CFG, ["baseline", "--grid-points", "25", "--baseline", "classical_mixture"],
+     "2187918d3935473f1b96a90bbcce3fea56e47c702acd7ce44d3a4ea98142c7e5"),
+])
+def test_exact_engine_bytes_are_pinned(tmp_path, cfg_text, args, digest):
+    # sha256 of these outputs as the dense full-space read engine wrote them,
+    # before the read stages were restricted to the blocks they pass on
+    cfg = _write(tmp_path, "point.cfg", cfg_text)
+    out = tmp_path / "out.csv"
+    assert _run([args[0], "--config", cfg, *args[1:], "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_oversized_cutoffs_exit_with_a_domain_error_naming_the_field(tmp_path, capsys):
+    cfg = _write(tmp_path, "big.cfg", "optical_cutoff = 9\nmagnon_cutoff = 9\n")
+    assert _run(["witness-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) \
+        == EXIT_DOMAIN_ERROR
+    assert "field 'optical_cutoff'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["witness-sweep", "--grid-points", "5", "--trials", "2000", "--seed", "4"],
     ["oracle-compare", "--trials", "20000", "--seed", "6"],

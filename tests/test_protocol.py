@@ -1,10 +1,20 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from optomagnon.channels import DetectorSpec, click_measurement
+from optomagnon.channels import (
+    BeamsplitterSpec,
+    DetectorSpec,
+    SwapSpec,
+    _loss_kraus_blocks,
+    beamsplitter_unitary,
+    click_measurement,
+    swap_coupler_unitary,
+    thermal_weights,
+)
 from optomagnon.fock import (
     ANTISTOKES_A,
     ANTISTOKES_B,
@@ -27,8 +37,12 @@ from optomagnon.protocol import (
     ProtocolRegimeWarning,
     ZeroIntensityError,
     _apply_thermal_overlay,
+    _stokes_sector_blocks,
+    _stokes_sector_weights,
+    JointStatistics,
     closed_form_fidelity,
     consistency_check_thermal,
+    entangle_front_state,
     entangle_stage,
     exact_joint_statistics,
     exact_phase_statistics,
@@ -67,6 +81,18 @@ def test_nbar_override_precedence():
     cfg = ProtocolConfig(temperature_k=0.1, nbar_override=0.5)
     assert cfg.mean_thermal_magnons == 0.5
     assert ProtocolConfig(temperature_k=0.0).mean_thermal_magnons == 0.0
+
+
+def test_oversized_cutoffs_raise_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="optical_cutoff = 9 and magnon_cutoff = 9"):
+            ProtocolConfig(optical_cutoff=9, magnon_cutoff=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert ProtocolConfig(optical_cutoff=8, magnon_cutoff=8).optical_cutoff == 8
 
 
 def test_regime_warnings():
@@ -382,6 +408,118 @@ def test_thermal_fringe_minimum_shows_photon_bunching():
     point = witness_exact(cfg, [math.pi / 2], 1)[0]
     naive = cfg.mean_thermal_magnons / (cfg.mean_thermal_magnons + cfg.pair_probability_a)
     assert point.g2_a1 < naive - 0.2
+
+
+# ---------------------------------------------------------------------------
+# read engine against the dense full-space reference
+
+
+class _DenseReadOptics:
+    """Reference read pipeline: every stage is a full-space sparse-embedded
+    sandwich on the (magnon A, magnon B, anti-Stokes A, anti-Stokes B)
+    matrix, with the anti-Stokes vacuum adjoined up front."""
+
+    def __init__(self, config):
+        self.config = config
+        co, cm = config.optical_cutoff, config.magnon_cutoff
+        self.registry = ModeRegistry.of(
+            (MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
+        theta = config.read_swap_angle_rad
+        self.swap_a = swap_coupler_unitary(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), self.registry)
+        self.swap_b = swap_coupler_unitary(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), self.registry)
+        self.closing_bs = beamsplitter_unitary(
+            BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.registry)
+        axis = self.registry.axis_of(ANTISTOKES_A)
+        cols = np.arange(self.registry.dimension)
+        self.anti_a_numbers = (cols // self.registry.strides[axis]) % self.registry.dims[axis]
+
+    @staticmethod
+    def _sandwich(op, rho):
+        return op @ (op @ rho).conj().T
+
+    def _loss(self, rho, mode, eta):
+        if eta == 1.0:
+            return rho
+        out = np.zeros_like(rho)
+        for block in _loss_kraus_blocks(self.registry.cutoff_of(mode), eta):
+            out += self._sandwich(embed_single_mode(self.registry, mode, block).matrix, rho)
+        return out
+
+    def fixed_evolution(self, rho_magnons):
+        cfg = self.config
+        vac = np.zeros(((cfg.optical_cutoff + 1) ** 2,) * 2, dtype=complex)
+        vac[0, 0] = 1.0
+        rho = np.kron(rho_magnons, vac)
+        if cfg.magnon_decay_delay_ratio > 0.0:
+            survival = math.exp(-cfg.magnon_decay_delay_ratio)
+            rho = self._loss(rho, MAGNON_A, survival)
+            rho = self._loss(rho, MAGNON_B, survival)
+        rho = self._sandwich(self.swap_a.matrix, rho)
+        rho = self._sandwich(self.swap_b.matrix, rho)
+        rho = self._loss(rho, ANTISTOKES_A, cfg.propagation_transmissivity_a)
+        return self._loss(rho, ANTISTOKES_B, cfg.propagation_transmissivity_b)
+
+    def phase_and_mix(self, fixed, delta_phi):
+        phases = np.exp(1j * delta_phi * self.anti_a_numbers)
+        rho = fixed * phases[:, None] * phases[None, :].conj()
+        return DensityOperator(self.registry, self._sandwich(self.closing_bs.matrix, rho))
+
+    def statistics(self, blocks, grid):
+        co, cm = self.config.optical_cutoff, self.config.magnon_cutoff
+        fixed = {key: self.fixed_evolution(block) for key, block in blocks.items()}
+        out = []
+        for delta_phi in grid:
+            probs = np.zeros((co + 1,) * 4)
+            for (s1, s2), rho in fixed.items():
+                mixed = self.phase_and_mix(rho, delta_phi)
+                diag = mixed.occupation_probabilities().reshape(cm + 1, cm + 1, co + 1, co + 1)
+                probs[s1, s2] += diag.sum(axis=(0, 1))
+            out.append(probs)
+        return out
+
+
+READ_ENGINE_CONFIGS = [
+    ProtocolConfig(),
+    ProtocolConfig(optical_cutoff=2, magnon_cutoff=4),
+    ProtocolConfig(optical_cutoff=4, magnon_cutoff=2),
+    ProtocolConfig(optical_cutoff=3, magnon_cutoff=5, propagation_transmissivity_a=0.7,
+                   magnon_decay_delay_ratio=0.3),
+    ProtocolConfig(thermal_model="squeezed_thermal", temperature_k=0.15),
+    ProtocolConfig(herald_detector_index=2, stokes_probability_b=0.02),
+    ProtocolConfig(pulse_mean_photons=0.1, stokes_probability=0.1,
+                   read_swap_angle_rad=math.pi / 2),
+    ProtocolConfig(optical_cutoff=1, magnon_cutoff=1),
+]
+
+
+@pytest.mark.parametrize("cfg", READ_ENGINE_CONFIGS)
+def test_read_engine_is_bit_identical_to_dense_reference(cfg):
+    grid = [float(x) for x in np.linspace(0.0, 2.0 * math.pi, 7)] + [0.9, cfg.read_phase_rad]
+    optics = _DenseReadOptics(cfg)
+    front = entangle_front_state(cfg).rho
+    blocks = _stokes_sector_blocks(front)
+    for stats, probs in zip(exact_phase_statistics(cfg, grid), optics.statistics(blocks, grid)):
+        assert np.array_equal(stats.number_probabilities, probs)
+
+    weights = _stokes_sector_weights(front)
+    w = thermal_weights(cfg.mean_thermal_magnons, cfg.magnon_cutoff)
+    mixture = np.zeros(((cfg.magnon_cutoff + 1) ** 2,) * 2, dtype=complex)
+    mixture[1, 1] = mixture[cfg.magnon_cutoff + 1, cfg.magnon_cutoff + 1] = 0.5
+    for kind, rho in (("product_thermal", np.kron(np.diag(w), np.diag(w)).astype(complex)),
+                      ("classical_mixture", mixture)):
+        sector_blocks = {key: weight * rho for key, weight in weights.items() if weight > 0.0}
+        expected = [
+            JointStatistics(phi, probs, cfg.detector).witness_point(1, cfg.witness_divergence_epsilon)
+            for phi, probs in zip(grid, optics.statistics(sector_blocks, grid))]
+        assert separable_baseline(cfg, grid, 1, baseline=kind) == expected
+
+    heralded = entangle_stage(cfg)
+    fixed = optics.fixed_evolution(heralded.rho_magnons.matrix)
+    dense = partial_trace(optics.phase_and_mix(fixed, cfg.read_phase_rad),
+                          (ANTISTOKES_A, ANTISTOKES_B))
+    got = read_stage(heralded, cfg)
+    assert got.registry == dense.registry
+    assert np.abs(got.matrix - dense.matrix).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
