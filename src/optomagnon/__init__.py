@@ -7,9 +7,7 @@ sampler validated against the exact engine.
 """
 
 from .fock import (
-    BasisIndexer,
     DensityOperator,
-    DimensionOverflowError,
     FockSpaceError,
     ModeOperator,
     ModeRegistry,
@@ -19,7 +17,6 @@ from .fock import (
     UnknownModeError,
     annihilation,
     apply_unitary,
-    build_basis,
     creation,
     expectation,
     fidelity_with_pure,
@@ -36,7 +33,6 @@ from .channels import (
     TruncationError,
     beamsplitter_unitary,
     click_measurement,
-    coherent_state,
     loss_channel,
     phase_shift_unitary,
     swap_coupler_unitary,
@@ -47,7 +43,6 @@ from .protocol import (
     HeraldError,
     HeraldedState,
     JointStatistics,
-    PhysicalCouplings,
     ProtocolConfig,
     ProtocolError,
     ProtocolRegimeWarning,

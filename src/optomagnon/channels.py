@@ -1,4 +1,4 @@
-"""Physical building blocks: unitaries, loss maps, state preparation, click POVMs.
+"""Physical building blocks: unitaries, loss maps, thermal states, click POVMs.
 
 Unitaries are built by exponentiating the truncated generator on the one- or
 two-mode subspace they act on (skew-Hermitian generator, so the result is
@@ -27,8 +27,6 @@ from .fock import (
     FockSpaceError,
     ModeOperator,
     ModeRegistry,
-    MultiModeState,
-    apply_unitary,
     embed_mode_pair,
     embed_single_mode,
     partial_trace,
@@ -39,7 +37,6 @@ from .fock import (
 SYMMETRIC_BS_PHASE = math.pi / 2  # reflected amplitude picks up i
 
 DEFAULT_SQUEEZER_TAIL_BOUND = 1e-5
-DEFAULT_COHERENT_TAIL_BOUND = 1e-6
 
 
 class ChannelError(FockSpaceError):
@@ -202,55 +199,30 @@ def _loss_kraus_blocks(cutoff: int, transmissivity: float) -> list[np.ndarray]:
     return blocks
 
 
-def loss_channel(rho: DensityOperator, mode: str, transmissivity: float,
-                 method: str = "kraus") -> DensityOperator:
+def loss_channel(rho: DensityOperator, mode: str, transmissivity: float) -> DensityOperator:
     """Pure-loss map on one mode; trace preserving for any transmissivity.
 
     The map is defined by mixing the mode with a vacuum environment on a
     beamsplitter with cos^2(theta) = transmissivity and discarding the
-    environment.  ``method="dilation"`` runs that construction literally;
-    the default ``"kraus"`` applies the equivalent binomial Kraus sum
-    without enlarging the space (the two agree to machine precision and are
-    cross-checked in the test suite).
+    environment.  It is applied as the equivalent binomial Kraus sum,
+    without enlarging the space; the test suite cross-checks the two.
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ChannelError(f"transmissivity {transmissivity!r} outside [0, 1]")
-    registry = rho.registry
-    cutoff = registry.cutoff_of(mode)
-    if transmissivity == 1.0:
-        return rho
-
-    if method == "kraus":
-        return DensityOperator(registry, loss_kraus_sum(rho.matrix, registry, mode, transmissivity))
-
-    if method == "dilation":
-        env_label = f"env_{mode}"
-        big = registry.extended((env_label, cutoff))
-        grown = np.kron(rho.matrix, _vacuum_matrix(cutoff))
-        big_rho = DensityOperator(big, grown)
-        theta = math.acos(math.sqrt(transmissivity))
-        bs = beamsplitter_unitary(BeamsplitterSpec(mode, env_label, theta), big)
-        mixed = apply_unitary(big_rho, bs)
-        return partial_trace(mixed, registry.labels)
-
-    raise ChannelError(f"unknown loss method {method!r}")
+    return DensityOperator(rho.registry,
+                           loss_kraus_sum(rho.matrix, rho.registry, mode, transmissivity))
 
 
 def loss_kraus_sum(matrices: np.ndarray, registry: ModeRegistry, mode: str,
                    transmissivity: float) -> np.ndarray:
     """Binomial Kraus sum of the pure-loss map on a matrix or a stack of matrices."""
+    cutoff = registry.cutoff_of(mode)
     if transmissivity == 1.0:
         return matrices
     out = np.zeros_like(matrices)
-    for block in _loss_kraus_blocks(registry.cutoff_of(mode), transmissivity):
+    for block in _loss_kraus_blocks(cutoff, transmissivity):
         out += sandwich(embed_single_mode(registry, mode, block).matrix, matrices)
     return out
-
-
-def _vacuum_matrix(cutoff: int) -> np.ndarray:
-    mat = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    mat[0, 0] = 1.0
-    return mat
 
 
 def thermal_truncation_weight(mean_occupation: float, cutoff: int) -> float:
@@ -261,42 +233,28 @@ def thermal_truncation_weight(mean_occupation: float, cutoff: int) -> float:
     return s ** (cutoff + 1)
 
 
-def thermal_state(mean_occupation: float, cutoff: int) -> DensityOperator:
-    """Single-mode thermal state, renormalized over the truncated basis."""
-    if mean_occupation < 0:
-        raise ChannelError(f"mean occupation {mean_occupation!r} must be >= 0")
-    registry = ModeRegistry.of(("thermal", cutoff))
-    ns = np.arange(cutoff + 1)
+def geometric_weights(mean_occupation: float, cutoff: int) -> np.ndarray:
+    """Untruncated thermal weights (1 - S) S^n for n = 0..cutoff, S = nbar/(nbar + 1)."""
     if mean_occupation == 0.0:
         weights = np.zeros(cutoff + 1)
         weights[0] = 1.0
-    else:
-        s = mean_occupation / (mean_occupation + 1.0)
-        weights = (1.0 - s) * s ** ns
-        weights = weights / weights.sum()
-    return DensityOperator(registry, np.diag(weights.astype(complex)))
+        return weights
+    s = mean_occupation / (mean_occupation + 1.0)
+    return (1.0 - s) * s ** np.arange(cutoff + 1)
 
 
 def thermal_weights(mean_occupation: float, cutoff: int) -> np.ndarray:
-    """Renormalized diagonal of the truncated thermal state."""
-    return thermal_state(mean_occupation, cutoff).occupation_probabilities()
+    """Diagonal of the truncated thermal state: the geometric weights renormalized."""
+    if mean_occupation < 0:
+        raise ChannelError(f"mean occupation {mean_occupation!r} must be >= 0")
+    weights = geometric_weights(mean_occupation, cutoff)
+    return weights / weights.sum()
 
 
-def coherent_state(alpha: complex, cutoff: int,
-                   tail_bound: float = DEFAULT_COHERENT_TAIL_BOUND) -> MultiModeState:
-    """Single-mode coherent state |alpha>, renormalized over the truncation."""
-    ns = np.arange(cutoff + 1)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
-    amps = np.exp(-abs(alpha) ** 2 / 2) * np.power(complex(alpha), ns) / np.exp(log_fact / 2)
-    retained = float(np.sum(np.abs(amps) ** 2))
-    tail = 1.0 - retained
-    if tail > tail_bound:
-        raise TruncationError(
-            f"coherent-state tail {tail:.3e} exceeds bound {tail_bound:.3e}; "
-            f"raise the cutoff or reduce |alpha|"
-        )
-    registry = ModeRegistry.of(("coherent", cutoff))
-    return MultiModeState(registry, amps / math.sqrt(retained))
+def thermal_state(mean_occupation: float, cutoff: int) -> DensityOperator:
+    """Single-mode thermal state, renormalized over the truncated basis."""
+    registry = ModeRegistry.of(("thermal", cutoff))
+    return DensityOperator(registry, np.diag(thermal_weights(mean_occupation, cutoff).astype(complex)))
 
 
 class ClickOutcome(NamedTuple):

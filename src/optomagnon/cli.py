@@ -21,6 +21,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence, TextIO
@@ -114,9 +115,10 @@ def parse_config_text(text: str) -> ProtocolConfig:
 
 
 def _offending_field(exc: Exception, kwargs: dict) -> str:
+    """First config field, in file order, whose whole name the message mentions."""
     message = str(exc)
     for name in kwargs:
-        if name in message:
+        if re.search(rf"\b{re.escape(name)}\b", message):
             return repr(name)
     return "<config>"
 

@@ -16,32 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-DEFAULT_MAX_DIMENSION = 2**22
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 
 # Canonical mode labels of the entanglement protocol.  The engine accepts
 # any labels; these constants keep the protocol modules consistent.
-PULSE_A, PULSE_B = "pulse_A", "pulse_B"
 STOKES_A, STOKES_B = "stokes_A", "stokes_B"
 MAGNON_A, MAGNON_B = "magnon_A", "magnon_B"
-READ_A, READ_B = "read_A", "read_B"
 ANTISTOKES_A, ANTISTOKES_B = "antistokes_A", "antistokes_B"
 
 
 class FockSpaceError(Exception):
     """Base class for engine errors."""
-
-
-class DimensionOverflowError(FockSpaceError):
-    """Total dimension exceeds the configured maximum (cutoffs too large)."""
 
 
 class UnknownModeError(FockSpaceError):
@@ -113,10 +105,6 @@ class ModeRegistry:
     def cutoff_of(self, label: str) -> int:
         return self.modes[self.axis_of(label)][1]
 
-    def extended(self, *new_modes: tuple[str, int]) -> "ModeRegistry":
-        """Registry with additional modes appended (in the given order)."""
-        return ModeRegistry(self.modes + tuple(new_modes))
-
     def restricted(self, keep: Iterable[str]) -> "ModeRegistry":
         """Registry containing only ``keep``, preserving the original order."""
         keep = set(keep)
@@ -124,40 +112,16 @@ class ModeRegistry:
             self.axis_of(label)
         return ModeRegistry(tuple(m for m in self.modes if m[0] in keep))
 
-
-@dataclass(frozen=True)
-class BasisIndexer:
-    """Bijection between occupation tuples and flat basis indices."""
-
-    dims: tuple[int, ...]
-
-    @cached_property
-    def dimension(self) -> int:
-        return math.prod(self.dims)
-
     def index_of(self, occupation: Sequence[int]) -> int:
-        if len(occupation) != len(self.dims):
+        """Flat basis index of an occupation tuple (first mode most significant)."""
+        if len(occupation) != len(self.modes):
             raise FockSpaceError(
-                f"occupation has {len(occupation)} entries, registry has {len(self.dims)} modes"
+                f"occupation has {len(occupation)} entries, registry has {len(self.modes)} modes"
             )
         for n, d in zip(occupation, self.dims):
             if not 0 <= n < d:
                 raise FockSpaceError(f"occupation {tuple(occupation)} outside cutoffs")
         return int(np.ravel_multi_index(tuple(occupation), self.dims))
-
-    def tuple_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.dimension:
-            raise FockSpaceError(f"index {index} outside dimension {self.dimension}")
-        return tuple(int(n) for n in np.unravel_index(index, self.dims))
-
-
-def build_basis(registry: ModeRegistry, max_dimension: int = DEFAULT_MAX_DIMENSION) -> BasisIndexer:
-    """Indexer for the registry's basis, guarding against runaway dimensions."""
-    if registry.dimension > max_dimension:
-        raise DimensionOverflowError(
-            f"dimension {registry.dimension} exceeds maximum {max_dimension}; reduce cutoffs"
-        )
-    return BasisIndexer(registry.dims)
 
 
 @dataclass(frozen=True)
@@ -179,7 +143,7 @@ class MultiModeState:
     @classmethod
     def from_occupation(cls, registry: ModeRegistry, occupation: Sequence[int]) -> "MultiModeState":
         amps = np.zeros(registry.dimension, dtype=complex)
-        amps[build_basis(registry).index_of(occupation)] = 1.0
+        amps[registry.index_of(occupation)] = 1.0
         return cls(registry, amps)
 
     @classmethod
@@ -235,10 +199,6 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise RegistryMismatchError(f"matrix shape {mat.shape} does not match dimension {d}")
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_pure(cls, state: MultiModeState) -> "DensityOperator":
-        return state.to_density()
 
     @classmethod
     def product(cls, registry: ModeRegistry, single_mode_matrices: Sequence[np.ndarray]) -> "DensityOperator":
@@ -301,10 +261,6 @@ class ModeOperator:
     def dag(self) -> "ModeOperator":
         return ModeOperator(self.registry, self.matrix.conj().T.tocsr())
 
-    def __matmul__(self, other: "ModeOperator") -> "ModeOperator":
-        _require_same_registry(self.registry, other.registry)
-        return ModeOperator(self.registry, (self.matrix @ other.matrix).tocsr())
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
@@ -317,10 +273,10 @@ def _require_same_registry(a: ModeRegistry, b: ModeRegistry) -> None:
 # ---------------------------------------------------------------------------
 # Embedding single- and two-mode blocks into the full space.
 #
-# A block acting on modes (x, y) is lifted by enumerating every basis index,
-# splitting off the (n_x, n_y) digits, and re-assembling target indices with
-# the block's output digits.  This keeps lifted operators sparse: at most
-# block-dimension entries per column.
+# A block acting on modes (x, y, ...) is lifted by enumerating every basis
+# index, splitting off the (n_x, n_y, ...) digits, and re-assembling target
+# indices with the block's output digits.  This keeps lifted operators sparse:
+# at most block-dimension entries per column.
 
 
 def _digits(registry: ModeRegistry, labels: Sequence[str]) -> tuple[np.ndarray, ...]:
@@ -333,24 +289,28 @@ def _digits(registry: ModeRegistry, labels: Sequence[str]) -> tuple[np.ndarray, 
     return tuple(out)
 
 
-def embed_single_mode(registry: ModeRegistry, label: str, block: np.ndarray) -> ModeOperator:
-    """Lift a (cutoff+1)-dimensional single-mode matrix to the full space."""
-    axis = registry.axis_of(label)
-    d = registry.dims[axis]
+def _embed_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray) -> ModeOperator:
+    """Lift a matrix on distinct modes (row-major in their occupations) to the full space."""
+    if len(set(labels)) != len(labels):
+        raise FockSpaceError(f"a block needs distinct modes, got {tuple(labels)}")
+    axes = [registry.axis_of(label) for label in labels]
+    dims = tuple(registry.dims[axis] for axis in axes)
+    strides = [registry.strides[axis] for axis in axes]
     block = np.asarray(block, dtype=complex)
-    if block.shape != (d, d):
-        raise RegistryMismatchError(f"block shape {block.shape} does not match mode {label!r}")
-    stride = registry.strides[axis]
+    if block.shape != (math.prod(dims),) * 2:
+        raise RegistryMismatchError(f"block shape {block.shape} does not match modes {tuple(labels)}")
     cols = np.arange(registry.dimension)
-    (n,) = _digits(registry, [label])
-    rest = cols - n * stride
+    digits = _digits(registry, labels)
+    rest = cols - sum(n * stride for n, stride in zip(digits, strides))
+    bcol = np.ravel_multi_index(digits, dims)
     rows_all, cols_all, vals_all = [], [], []
-    for n_out in range(d):
-        vals = block[n_out, n]
+    for brow in range(block.shape[0]):
+        vals = block[brow, bcol]
         mask = vals != 0
         if not mask.any():
             continue
-        rows_all.append(rest[mask] + n_out * stride)
+        out_digits = np.unravel_index(brow, dims)
+        rows_all.append(rest[mask] + sum(int(n) * stride for n, stride in zip(out_digits, strides)))
         cols_all.append(cols[mask])
         vals_all.append(vals[mask])
     mat = sp.coo_matrix(
@@ -360,42 +320,17 @@ def embed_single_mode(registry: ModeRegistry, label: str, block: np.ndarray) -> 
         shape=(registry.dimension, registry.dimension),
     )
     return ModeOperator(registry, mat.tocsr())
+
+
+def embed_single_mode(registry: ModeRegistry, label: str, block: np.ndarray) -> ModeOperator:
+    """Lift a (cutoff+1)-dimensional single-mode matrix to the full space."""
+    return _embed_block(registry, (label,), block)
 
 
 def embed_mode_pair(registry: ModeRegistry, label_a: str, label_b: str,
                     block: np.ndarray) -> ModeOperator:
     """Lift a two-mode matrix (row-major in (n_a, n_b)) to the full space."""
-    if label_a == label_b:
-        raise FockSpaceError("two-mode block needs two distinct modes")
-    axis_a, axis_b = registry.axis_of(label_a), registry.axis_of(label_b)
-    da, db = registry.dims[axis_a], registry.dims[axis_b]
-    block = np.asarray(block, dtype=complex)
-    if block.shape != (da * db, da * db):
-        raise RegistryMismatchError(
-            f"block shape {block.shape} does not match modes ({label_a!r}, {label_b!r})"
-        )
-    sa, sb = registry.strides[axis_a], registry.strides[axis_b]
-    cols = np.arange(registry.dimension)
-    na, nb = _digits(registry, [label_a, label_b])
-    rest = cols - na * sa - nb * sb
-    bcol = na * db + nb
-    rows_all, cols_all, vals_all = [], [], []
-    for brow in range(da * db):
-        vals = block[brow, bcol]
-        mask = vals != 0
-        if not mask.any():
-            continue
-        na_out, nb_out = divmod(brow, db)
-        rows_all.append(rest[mask] + na_out * sa + nb_out * sb)
-        cols_all.append(cols[mask])
-        vals_all.append(vals[mask])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_all) if vals_all else np.array([], dtype=complex),
-         (np.concatenate(rows_all) if rows_all else np.array([], dtype=int),
-          np.concatenate(cols_all) if cols_all else np.array([], dtype=int))),
-        shape=(registry.dimension, registry.dimension),
-    )
-    return ModeOperator(registry, mat.tocsr())
+    return _embed_block(registry, (label_a, label_b), block)
 
 
 def single_mode_annihilation(cutoff: int) -> np.ndarray:
@@ -419,10 +354,6 @@ def creation(registry: ModeRegistry, label: str) -> ModeOperator:
 def number_operator(registry: ModeRegistry, label: str) -> ModeOperator:
     (n,) = _digits(registry, [label])
     return ModeOperator(registry, sp.diags(n.astype(complex)).tocsr())
-
-
-def identity_operator(registry: ModeRegistry) -> ModeOperator:
-    return ModeOperator(registry, sp.identity(registry.dimension, dtype=complex, format="csr"))
 
 
 def sandwich(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

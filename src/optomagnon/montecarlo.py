@@ -128,13 +128,11 @@ def sample_counts(config: ProtocolConfig, n_trials: int, seed: Optional[int] = N
 
 
 def sample_trials(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
-                  workers: int = 1, stream_tags: Sequence[int] = (),
+                  stream_tags: Sequence[int] = (),
                   statistics: Optional[JointStatistics] = None) -> list[ClickRecord]:
     """Draw per-trial detector outcomes from the exact outcome distribution.
 
     Deterministic in (config, seed, n_trials), see ``sample_chunks``.
-    ``workers`` is accepted and ignored: chunks are drawn serially, which
-    outran a thread pool on two cores.
     """
     records = []
     for chunk in sample_chunks(config, n_trials, seed, stream_tags, statistics):

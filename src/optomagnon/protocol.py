@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,11 +55,14 @@ from .channels import (
     SwapSpec,
     beamsplitter_unitary,
     click_measurement,
+    geometric_weights,
     loss_channel,
     loss_kraus_sum,
     phase_shift_unitary,
     squeezer_vacuum_tail,
     swap_coupler_unitary,
+    thermal_state,
+    thermal_truncation_weight,
     thermal_weights,
     two_mode_squeezer_unitary,
 )
@@ -75,7 +78,6 @@ from .fock import (
     ModeRegistry,
     MultiModeState,
     apply_unitary,
-    build_basis,
     fidelity_with_pure,
     sandwich,
 )
@@ -123,23 +125,6 @@ def mean_thermal_occupation(frequency_hz: float, temperature_k: float) -> float:
 
 
 @dataclass(frozen=True)
-class PhysicalCouplings:
-    """Device-level rates, kept for documentation only.
-
-    The pipelines work with the derived knobs (scattering probability,
-    swap angle), so none of these enter any computation.
-    """
-
-    single_photon_coupling_hz: Optional[float] = None
-    write_pump_photons: Optional[float] = None
-    read_pump_photons: Optional[float] = None
-    write_effective_coupling_hz: Optional[float] = None
-    read_effective_coupling_hz: Optional[float] = None
-    optical_frequency_te_hz: Optional[float] = None
-    optical_frequency_tm_hz: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     """All physical and numerical parameters of one experiment.
 
@@ -167,9 +152,12 @@ class ProtocolConfig:
     magnon_decay_delay_ratio: float = 0.0  # (pulse delay)/(magnon lifetime)
     herald_floor: float = 1e-12
     witness_divergence_epsilon: float = 1e-8
-    couplings: Optional[PhysicalCouplings] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ProtocolError(f"{f.name} must be finite, got {value!r}")
         if self.pulse_mean_photons < 0:
             raise ProtocolError("pulse_mean_photons must be >= 0")
         for name in ("stokes_probability", "stokes_probability_b"):
@@ -203,6 +191,9 @@ class ProtocolConfig:
             raise ProtocolError(f"unknown thermal_model {self.thermal_model!r}")
         if self.magnon_decay_delay_ratio < 0:
             raise ProtocolError("magnon_decay_delay_ratio must be >= 0")
+        for name in ("herald_floor", "witness_divergence_epsilon"):
+            if getattr(self, name) < 0:
+                raise ProtocolError(f"{name} must be >= 0")
         if self.pulse_mean_photons > REGIME_LIMIT:
             warnings.warn(
                 f"pulse_mean_photons = {self.pulse_mean_photons} is outside the weak-pulse "
@@ -274,10 +265,9 @@ def ideal_target_state(sign: int, magnon_cutoff: int = 3) -> MultiModeState:
     if sign not in (+1, -1):
         raise ProtocolError("sign must be +1 or -1")
     registry = ModeRegistry.of((MAGNON_A, magnon_cutoff), (MAGNON_B, magnon_cutoff))
-    idx = build_basis(registry)
     amps = np.zeros(registry.dimension, dtype=complex)
-    amps[idx.index_of((0, 1))] = 1.0 / math.sqrt(2.0)
-    amps[idx.index_of((1, 0))] = sign / math.sqrt(2.0)
+    amps[registry.index_of((0, 1))] = 1.0 / math.sqrt(2.0)
+    amps[registry.index_of((1, 0))] = sign / math.sqrt(2.0)
     return MultiModeState(registry, amps)
 
 
@@ -301,12 +291,11 @@ def thermal_final_state(thermal_ratio: float, sign: int, magnon_cutoff: int = 3)
     if magnon_cutoff < 2:
         raise ProtocolError("magnon_cutoff must be >= 2 to hold the contaminated sectors")
     registry = ModeRegistry.of((MAGNON_A, magnon_cutoff), (MAGNON_B, magnon_cutoff))
-    idx = build_basis(registry)
 
     def superposition(lo: tuple[int, int], hi: tuple[int, int]) -> np.ndarray:
         amps = np.zeros(registry.dimension, dtype=complex)
-        amps[idx.index_of(lo)] = 1.0 / math.sqrt(2.0)
-        amps[idx.index_of(hi)] = sign / math.sqrt(2.0)
+        amps[registry.index_of(lo)] = 1.0 / math.sqrt(2.0)
+        amps[registry.index_of(hi)] = sign / math.sqrt(2.0)
         return amps
 
     components = [
@@ -361,7 +350,7 @@ def _apply_thermal_overlay(rho: DensityOperator, nbar: float,
     shifts = []
     for label in labels:
         axis = registry.axis_of(label)
-        weights = _geometric_weights(nbar, registry.cutoff_of(label))
+        weights = geometric_weights(nbar, registry.cutoff_of(label))
         shifts.append([(axis, n, w) for n, w in enumerate(weights) if w > 0.0])
     shifts_a, shifts_b = shifts
     for axis_a, n_a, w_a in shifts_a:
@@ -379,15 +368,6 @@ def _apply_thermal_overlay(rho: DensityOperator, nbar: float,
     return DensityOperator(registry, out / retained), leak
 
 
-def _geometric_weights(nbar: float, cutoff: int) -> np.ndarray:
-    if nbar == 0.0:
-        weights = np.zeros(cutoff + 1)
-        weights[0] = 1.0
-        return weights
-    s = nbar / (nbar + 1.0)
-    return (1.0 - s) * s ** np.arange(cutoff + 1)
-
-
 def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     """Run the entangling optics up to (not including) the herald detectors."""
     co, cm = config.optical_cutoff, config.magnon_cutoff
@@ -397,9 +377,7 @@ def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     nbar = config.mean_thermal_magnons
     seeded_thermal = config.thermal_model == "squeezed_thermal" and nbar > 0.0
     if seeded_thermal:
-        vac = np.zeros((co + 1, co + 1), dtype=complex)
-        vac[0, 0] = 1.0
-        th = np.diag(thermal_weights(nbar, cm).astype(complex))
+        vac, th = thermal_state(0.0, co).matrix, thermal_state(nbar, cm).matrix
         rho = DensityOperator.product(registry, [vac, vac, th, th])
     else:
         rho = MultiModeState.vacuum(registry).to_density()
@@ -432,7 +410,7 @@ def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
         rho, leak = _apply_thermal_overlay(rho, nbar, (MAGNON_A, MAGNON_B))
         truncation += leak
     elif seeded_thermal:
-        truncation += 2.0 * (nbar / (nbar + 1.0)) ** (cm + 1)
+        truncation += 2.0 * thermal_truncation_weight(nbar, cm)
 
     drift = abs(rho.trace - 1.0)
     truncation += drift
@@ -714,10 +692,9 @@ def separable_baseline(config: ProtocolConfig, phase_grid: Sequence[float],
         mat = np.kron(np.diag(w), np.diag(w)).astype(complex)
         rho = DensityOperator(registry, mat)
     elif baseline == "classical_mixture":
-        idx = build_basis(registry)
         mat = np.zeros((registry.dimension, registry.dimension), dtype=complex)
-        mat[idx.index_of((0, 1)), idx.index_of((0, 1))] = 0.5
-        mat[idx.index_of((1, 0)), idx.index_of((1, 0))] = 0.5
+        mat[registry.index_of((0, 1)), registry.index_of((0, 1))] = 0.5
+        mat[registry.index_of((1, 0)), registry.index_of((1, 0))] = 0.5
         rho = DensityOperator(registry, mat)
     elif baseline == "vacuum":
         rho = MultiModeState.vacuum(registry).to_density()

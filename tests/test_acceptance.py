@@ -18,7 +18,6 @@ from optomagnon.fock import (
     ModeRegistry,
     MultiModeState,
     apply_unitary,
-    build_basis,
     fidelity_with_pure,
 )
 from optomagnon.montecarlo import click_fractions, estimate_g2, estimate_witness, sample_counts
@@ -99,10 +98,9 @@ def test_criterion_4_squeezer_amplitudes():
         spec = SqueezerSpec.from_pair_probability("optical", "magnon", 0.03)
         state = apply_unitary(MultiModeState.vacuum(registry),
                               two_mode_squeezer_unitary(spec, registry))
-        idx = build_basis(registry)
-        a00 = state.amplitudes[idx.index_of((0, 0))]
-        a11 = state.amplitudes[idx.index_of((1, 1))]
-        a22 = state.amplitudes[idx.index_of((2, 2))]
+        a00 = state.amplitudes[registry.index_of((0, 0))]
+        a11 = state.amplitudes[registry.index_of((1, 1))]
+        a22 = state.amplitudes[registry.index_of((2, 2))]
         assert abs(abs(a11 / a00) ** 2 - 0.03) <= 1e-6
         assert abs(abs(a22 / a11) - math.tanh(spec.squeeze_parameter)) <= 1e-6
 

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from optomagnon.cli import (
+    _FLOAT_FIELDS,
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -66,6 +67,12 @@ def test_config_domain_error_names_field():
     with pytest.raises(ConfigDomainError) as err:
         parse_config_text("frobnicate = 3\n")
     assert "frobnicate" in str(err.value)
+
+
+def test_config_domain_error_names_the_whole_field_name():
+    with pytest.raises(ConfigDomainError) as err:
+        parse_config_text("stokes_probability = 0.01\nstokes_probability_b = 2\n")
+    assert str(err.value).startswith("field 'stokes_probability_b':")
 
 
 def test_config_parse_error_carries_line_number():
@@ -325,3 +332,20 @@ def test_witness_sweep_zero_count_phases_leave_mc_cells_empty(tmp_path):
     assert all(k in empty or "" not in row[6:10] for k, row in enumerate(rows))
     for k in empty:
         assert all(payload[k][key] is None for key in mc_columns)
+
+
+@pytest.mark.parametrize("line", [
+    *(f"{name} = {value}" for name in sorted(_FLOAT_FIELDS) for value in ("nan", "inf")),
+    "herald_floor = -1", "witness_divergence_epsilon = -1",
+])
+def test_non_finite_and_negative_float_fields_exit_with_a_domain_error(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "bad.cfg", line + "\n")
+    assert _run(["witness-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) \
+        == EXIT_DOMAIN_ERROR
+    assert f"field '{line.split(' = ')[0]}'" in capsys.readouterr().err
+
+
+def test_non_finite_sweep_value_is_a_domain_error(tmp_path, capsys):
+    assert _run(["fidelity-sweep", "--sweep", "temperature_k:nan:0.1:2",
+                 "--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
+    assert "temperature_k must be finite" in capsys.readouterr().err

@@ -41,13 +41,6 @@ def test_sampling_is_deterministic():
     assert [r.trial_index for r in first] == list(range(5000))
 
 
-def test_sampling_worker_invariance():
-    cfg = _boosted_config()
-    serial = sample_trials(cfg, 9000, seed=3, workers=1)
-    parallel = sample_trials(cfg, 9000, seed=3, workers=4)
-    assert serial == parallel
-
-
 def test_sampling_uses_config_seed_by_default():
     cfg = _boosted_config(rng_seed=1234)
     assert sample_trials(cfg, 100) == sample_trials(cfg, 100, seed=1234)
