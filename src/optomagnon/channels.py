@@ -36,7 +36,7 @@ from .fock import (
 
 SYMMETRIC_BS_PHASE = math.pi / 2  # reflected amplitude picks up i
 
-DEFAULT_SQUEEZER_TAIL_BOUND = 1e-5
+SQUEEZER_TAIL_BOUND = 1e-5
 
 
 class ChannelError(FockSpaceError):
@@ -149,18 +149,17 @@ def squeezer_vacuum_tail(spec: SqueezerSpec, registry: ModeRegistry) -> float:
     return math.tanh(spec.squeeze_parameter) ** (2 * (c + 1))
 
 
-def two_mode_squeezer_unitary(spec: SqueezerSpec, registry: ModeRegistry,
-                              tail_bound: float = DEFAULT_SQUEEZER_TAIL_BOUND) -> ModeOperator:
+def two_mode_squeezer_unitary(spec: SqueezerSpec, registry: ModeRegistry) -> ModeOperator:
     """Pair-creation unitary exp[r (a+ m+ - a m)] on the truncated space.
 
     Raises TruncationError when the vacuum-input weight beyond the cutoff
-    would exceed ``tail_bound``; callers read the estimate via
+    would exceed ``SQUEEZER_TAIL_BOUND``; callers read the estimate via
     `squeezer_vacuum_tail`.
     """
     tail = squeezer_vacuum_tail(spec, registry)
-    if tail > tail_bound:
+    if tail > SQUEEZER_TAIL_BOUND:
         raise TruncationError(
-            f"squeezer tail {tail:.3e} exceeds bound {tail_bound:.3e}; raise cutoffs or lower r"
+            f"squeezer tail {tail:.3e} exceeds bound {SQUEEZER_TAIL_BOUND:.3e}; raise cutoffs or lower r"
         )
     da = registry.cutoff_of(spec.optical_mode) + 1
     db = registry.cutoff_of(spec.magnon_mode) + 1
@@ -285,8 +284,7 @@ def click_povm_diagonals(rho: DensityOperator, mode: str, spec: DetectorSpec) ->
     return no_click, 1.0 - no_click
 
 
-def click_measurement(rho: DensityOperator, mode: str, spec: DetectorSpec,
-                      probability_floor: float = 1e-15) -> ClickOutcome:
+def click_measurement(rho: DensityOperator, mode: str, spec: DetectorSpec) -> ClickOutcome:
     """Apply the non-resolving click POVM to one mode and trace it out.
 
     Returns the click probability and both normalized post-measurement
@@ -301,7 +299,7 @@ def click_measurement(rho: DensityOperator, mode: str, spec: DetectorSpec,
     keep = [label for label in rho.registry.labels if label != mode]
 
     def _conditioned(weights: np.ndarray, prob: float) -> Optional[DensityOperator]:
-        if prob <= probability_floor or not keep:
+        if prob <= 1e-15 or not keep:
             return None
         root = np.sqrt(weights)
         mat = rho.matrix * root[:, None] * root[None, :]

@@ -53,6 +53,18 @@ EXIT_DOMAIN_ERROR = 3
 EXIT_RUNTIME_ERROR = 4
 EXIT_ORACLE_FAILURE = 5
 
+ORACLE_SIGMAS = 4.0  # oracle-compare pass band, in standard errors
+
+# Command-specific flags: default, and the commands that read the flag; any
+# other command given the flag rejects it as a domain error.
+COMMAND_FLAGS = {
+    "sweep": (None, ("fidelity-sweep",)),
+    "trials": (0, ("witness-sweep", "mc-run", "oracle-compare")),
+    "grid_points": (25, ("witness-sweep", "baseline")),
+    "detector": (1, ("witness-sweep", "baseline")),
+    "baseline": ("product_thermal", ("baseline",)),
+}
+
 
 class ConfigParseError(Exception):
     """Config file is not flat key = value text; carries the line number."""
@@ -279,7 +291,7 @@ def run_mc_run(config: ProtocolConfig, fmt: str, out: TextIO, trials: int,
 
 
 def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: int,
-                       seed: Optional[int], sigmas: float = 4.0) -> bool:
+                       seed: Optional[int]) -> bool:
     """Compare MC estimates against exact engine values; True when all pass.
 
     Meaningful comparisons need on the order of 10^3 trials or more; fewer
@@ -298,7 +310,7 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
     def rate_row(name: str, exact: float, estimate: float) -> None:
         exact, estimate = float(exact), float(estimate)
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-300) / trials)
-        rows.append((name, exact, estimate, sigma, bool(abs(estimate - exact) <= sigmas * sigma)))
+        rows.append((name, exact, estimate, sigma, bool(abs(estimate - exact) <= ORACLE_SIGMAS * sigma)))
 
     herald = config.herald_detector_index
     rate_row("herald_probability", float(table[herald, :].sum()),
@@ -318,7 +330,7 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
             continue
         sigma = max(est.standard_error, 1e-300)
         rows.append((name, exact, est.value, sigma,
-                     bool(abs(est.value - exact) <= sigmas * sigma)))
+                     bool(abs(est.value - exact) <= ORACLE_SIGMAS * sigma)))
 
     exact_rm, exact_div = witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1),
                                         config.witness_divergence_epsilon)
@@ -335,7 +347,7 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
     else:
         sigma = max(mc_point.r_m_error, 1e-300)
         rows.append(("R_m", exact_rm, mc_point.r_m, sigma,
-                     bool(abs(mc_point.r_m - exact_rm) <= sigmas * sigma)))
+                     bool(abs(mc_point.r_m - exact_rm) <= ORACLE_SIGMAS * sigma)))
 
     write_table(("observable", "exact", "mc_estimate", "sigma", "passed"), rows, fmt, out)
     return all(row[-1] for row in rows)
@@ -355,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, help="override the config rng seed")
-    parser.add_argument("--trials", type=int, default=0, help="MC trials per point")
+    parser.add_argument("--trials", type=int, help="MC trials per point")
     parser.add_argument("--sweep", help="field:start:stop:count")
-    parser.add_argument("--grid-points", type=int, default=25,
+    parser.add_argument("--grid-points", type=int,
                         help="read-phase grid size for witness commands")
-    parser.add_argument("--detector", type=int, default=1, choices=(1, 2),
+    parser.add_argument("--detector", type=int, choices=(1, 2),
                         help="Stokes detector index j for the witness")
-    parser.add_argument("--baseline", default="product_thermal",
-                        help="separable baseline kind for the baseline command")
+    parser.add_argument("--baseline", help="separable baseline kind for the baseline command")
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; sampling is serial")
     parser.add_argument("--verbose", action="store_true")
@@ -374,6 +385,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        for name, (default, readers) in COMMAND_FLAGS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif args.command not in readers:
+                raise ConfigDomainError(f"{args.command} does not read --{name.replace('_', '-')}")
         if args.trials < 0:
             raise ConfigDomainError(f"--trials must be >= 0, got {args.trials}")
         if args.grid_points < 1:

@@ -163,10 +163,10 @@ class MultiModeState:
             raise NormalizationError("cannot normalize the zero vector")
         return MultiModeState(self.registry, self.amplitudes / n)
 
-    def check(self, norm_tol: float = NORM_TOL) -> "MultiModeState":
-        """Assert unit norm within tolerance, returning self on success."""
-        if abs(self.norm - 1.0) > norm_tol:
-            raise NormalizationError(f"norm {self.norm!r} differs from 1 beyond {norm_tol}")
+    def check(self) -> "MultiModeState":
+        """Assert unit norm within NORM_TOL, returning self on success."""
+        if abs(self.norm - 1.0) > NORM_TOL:
+            raise NormalizationError(f"norm {self.norm!r} differs from 1 beyond {NORM_TOL}")
         return self
 
     def overlap(self, other: "MultiModeState") -> complex:
@@ -229,14 +229,13 @@ class DensityOperator:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def check(self, herm_tol: float = HERMITICITY_TOL, trace_tol: float = TRACE_TOL,
-              positivity_tol: float = HERMITICITY_TOL) -> "DensityOperator":
+    def check(self) -> "DensityOperator":
         """Assert the density-operator invariants, returning self on success."""
-        if self.hermiticity_defect() > herm_tol:
+        if self.hermiticity_defect() > HERMITICITY_TOL:
             raise NormalizationError(f"Hermiticity defect {self.hermiticity_defect():.3e}")
-        if abs(self.trace - 1.0) > trace_tol:
+        if abs(self.trace - 1.0) > TRACE_TOL:
             raise NormalizationError(f"trace {self.trace!r} differs from 1")
-        if self.min_eigenvalue() < -positivity_tol:
+        if self.min_eigenvalue() < -HERMITICITY_TOL:
             raise NormalizationError(f"negative eigenvalue {self.min_eigenvalue():.3e}")
         return self
 
@@ -415,13 +414,12 @@ def expectation(rho: DensityOperator, op: ModeOperator) -> complex:
     return complex(op.matrix.multiply(rho.matrix.T).sum())
 
 
-def fidelity_with_pure(rho: DensityOperator, psi: MultiModeState,
-                       norm_tol: float = 1e-8, clamp_tol: float = 1e-8) -> float:
-    """<psi| rho |psi>, clamped to [0, 1] only for tolerance-sized excursions."""
+def fidelity_with_pure(rho: DensityOperator, psi: MultiModeState) -> float:
+    """<psi| rho |psi>, clamped to [0, 1] only for excursions within 1e-8."""
     _require_same_registry(rho.registry, psi.registry)
-    if abs(psi.norm - 1.0) > norm_tol:
-        raise NormalizationError(f"reference state norm {psi.norm!r} not 1 within {norm_tol}")
+    if abs(psi.norm - 1.0) > 1e-8:
+        raise NormalizationError(f"reference state norm {psi.norm!r} not 1 within 1e-8")
     value = float(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes).real)
-    if value < -clamp_tol or value > 1.0 + clamp_tol:
+    if value < -1e-8 or value > 1.0 + 1e-8:
         raise NormalizationError(f"fidelity {value!r} outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)

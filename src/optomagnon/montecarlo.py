@@ -210,12 +210,12 @@ def estimate_g2(counts: np.ndarray, anti_detector: int,
 
 
 def estimate_witness(counts_by_phase: Mapping[float, np.ndarray],
-                     stokes_detector: int, divergence_sigmas: float = 2.0) -> list[WitnessPoint]:
+                     stokes_detector: int) -> list[WitnessPoint]:
     """Witness estimates over a phase grid of count tables, with delta-method errors.
 
     A point is flagged divergent when the estimated denominator
-    (g2_A1 - g2_A2) lies within ``divergence_sigmas`` standard errors of
-    zero; flagged points carry an infinite value instead of a NaN.
+    (g2_A1 - g2_A2) lies within two standard errors of zero; flagged
+    points carry an infinite value instead of a NaN.
     """
     points = []
     for delta_phi, counts in counts_by_phase.items():
@@ -225,7 +225,7 @@ def estimate_witness(counts_by_phase: Mapping[float, np.ndarray],
         s1, s2 = est1.standard_error, est2.standard_error
         diff = g1 - g2
         diff_sigma = math.hypot(s1, s2)
-        if abs(diff) < divergence_sigmas * diff_sigma:
+        if abs(diff) < 2.0 * diff_sigma:
             points.append(WitnessPoint(
                 delta_phi=float(delta_phi), stokes_detector=stokes_detector,
                 g2_a1=g1, g2_a2=g2, r_m=math.inf, divergent=True,

@@ -349,3 +349,48 @@ def test_non_finite_sweep_value_is_a_domain_error(tmp_path, capsys):
     assert _run(["fidelity-sweep", "--sweep", "temperature_k:nan:0.1:2",
                  "--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
     assert "temperature_k must be finite" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("field, value", [("nbar_override", "1e16"), ("temperature_k", "1e30")])
+@pytest.mark.parametrize("command", ["witness-sweep", "baseline", "fidelity-sweep"])
+def test_thermal_ratio_rounding_to_one_is_a_domain_error_naming_the_field(
+        tmp_path, capsys, command, field, value):
+    if command == "fidelity-sweep":
+        args = [command, "--sweep", f"{field}:{value}:{value}:1"]
+    else:
+        args = [command, "--config", _write(tmp_path, "hot.cfg", f"{field} = {value}\n")]
+    assert _run(args + ["--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
+    err = capsys.readouterr().err
+    assert f"{field} makes the thermal ratio nbar/(nbar + 1) round to 1" in err
+
+
+@pytest.mark.parametrize("command", ["witness-sweep", "fidelity-sweep"])
+def test_temperature_below_half_a_millikelvin_runs_with_zero_occupation(tmp_path, command):
+    # h nu / k T = 840 at 7 GHz: exp overflows, and nbar is 0 to double precision
+    cfg = _write(tmp_path, "cold.cfg", "temperature_k = 0.0004\n")
+    out = tmp_path / "o.csv"
+    extra = ["--sweep", "temperature_k:0.0004:0.0004:1"] if command == "fidelity-sweep" else []
+    assert _run([command, "--config", cfg, *extra, "--out", str(out)]) == EXIT_OK
+    if command == "fidelity-sweep":
+        assert out.read_text().splitlines()[1].split(",")[1:4] == ["0.0", "0.0", "1.0"]
+
+
+# command-specific flags each command reads; it rejects the others
+FLAGS_READ = {
+    "fidelity-sweep": {"--sweep"},
+    "witness-sweep": {"--grid-points", "--detector", "--trials"},
+    "baseline": {"--grid-points", "--detector", "--baseline"},
+    "mc-run": {"--trials"},
+    "oracle-compare": {"--trials"},
+}
+FLAG_VALUES = {"--sweep": "temperature_k:0.1:0.1:1", "--trials": "10", "--grid-points": "3",
+               "--detector": "1", "--baseline": "vacuum"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, reads in FLAGS_READ.items()
+    for flag in FLAG_VALUES if flag not in reads])
+def test_a_flag_the_command_does_not_read_is_a_domain_error(capsys, command, flag):
+    assert _run([command, flag, FLAG_VALUES[flag]]) == EXIT_DOMAIN_ERROR
+    assert f"{command} does not read {flag}" in capsys.readouterr().err

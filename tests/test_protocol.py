@@ -1,10 +1,13 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.constants
 
+from optomagnon import protocol
 from optomagnon.channels import (
     BeamsplitterSpec,
     DetectorSpec,
@@ -67,6 +70,15 @@ def test_mean_thermal_occupation_reference_points():
     assert abs(nbar - 0.036) < 1e-3
     s_50mk = mean_thermal_occupation(7e9, 0.05)
     assert abs(s_50mk / (1 + s_50mk) - 0.001) < 5e-4
+
+
+@pytest.mark.parametrize("temperature_k", [4e-4, 1e-6])
+def test_mean_thermal_occupation_is_zero_below_the_smallest_double(temperature_k):
+    # h nu / k T beyond ~709 overflows exp; the occupation there is below 1e-308
+    assert mean_thermal_occupation(7e9, temperature_k) == 0.0
+    assert ProtocolConfig(temperature_k=temperature_k).thermal_ratio == 0.0
+    assert mean_thermal_occupation(7e9, 6e-4) == 1.0 / math.expm1(
+        scipy.constants.h * 7e9 / (scipy.constants.k * 6e-4))
 
 
 def test_mean_thermal_occupation_limits_and_errors():
@@ -145,6 +157,28 @@ def test_phase_statistics_give_the_exact_witness_curve():
     assert points == witness_exact(cfg, grid, stokes_detector=1)
     with pytest.raises(ProtocolError):
         exact_phase_statistics(cfg, grid[:1])[0].witness_point(3, 1e-8)
+
+
+def test_front_matrix_is_released_before_the_phase_loop(monkeypatch):
+    # the sector blocks are taken from the front matrix; neither it nor a
+    # view of it may stay alive into the per-phase read optics
+    fronts, alive_at_mix = [], []
+    build, mix = protocol.entangle_front_state, protocol._ReadOptics.phase_and_mix
+
+    def traced_build(config):
+        front = build(config)
+        fronts.append(weakref.ref(front.rho.matrix))
+        return front
+
+    def traced_mix(self, delta_phi):
+        alive_at_mix.append(fronts[-1]() is not None)
+        return mix(self, delta_phi)
+
+    monkeypatch.setattr(protocol, "entangle_front_state", traced_build)
+    monkeypatch.setattr(protocol._ReadOptics, "phase_and_mix", traced_mix)
+    exact_phase_statistics(ProtocolConfig(), np.linspace(0.0, 2.0 * math.pi, 4))
+    assert len(fronts) == 1
+    assert alive_at_mix == [False] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +531,7 @@ def test_read_engine_is_bit_identical_to_dense_reference(cfg):
     grid = [float(x) for x in np.linspace(0.0, 2.0 * math.pi, 7)] + [0.9, cfg.read_phase_rad]
     optics = _DenseReadOptics(cfg)
     front = entangle_front_state(cfg).rho
-    blocks = _stokes_sector_blocks(front)
+    blocks = dict(zip(*_stokes_sector_blocks(front)))
     for stats, probs in zip(exact_phase_statistics(cfg, grid), optics.statistics(blocks, grid)):
         assert np.array_equal(stats.number_probabilities, probs)
 
@@ -558,6 +592,34 @@ def test_joint_statistics_consistent_with_entangle_stage():
     assert abs(table.sum() - 1.0) < 1e-9
     heralded = entangle_stage(cfg)
     assert abs(table[1, :].sum() - heralded.herald_probability) < 1e-12
+
+
+def test_click_table_and_g2_match_their_per_entry_references():
+    # the category loop and the per-port moments the two methods replaced
+    rng = np.random.default_rng(3)
+    probs = rng.random((3, 4, 2, 5))
+    probs /= probs.sum()
+    stats = JointStatistics(0.4, probs, DetectorSpec(efficiency=0.7, dark_click_probability=1e-3))
+    tables = [np.stack([w, 1.0 - w]) for w in
+              (stats.detector.no_click_weights(d - 1) for d in probs.shape)]
+    t = np.einsum("abcd,xa,yb,zc,wd->xyzw", probs, *tables)
+    category = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}  # none, d1, d2, both
+    expected = np.zeros((4, 4))
+    for s_cat, (x, y) in category.items():
+        for a_cat, (z, w) in category.items():
+            expected[s_cat, a_cat] = t[x, y, z, w]
+    assert np.array_equal(stats.click_pattern_probabilities(), expected)
+
+    def occupations(axis):
+        shape = [1, 1, 1, 1]
+        shape[axis] = probs.shape[axis]
+        return np.arange(probs.shape[axis]).reshape(shape)
+
+    for i in (1, 2):
+        for j in (1, 2):
+            anti, stokes = occupations(1 + i), occupations(j - 1)
+            denom = float(np.sum(probs * anti)) * float(np.sum(probs * stokes))
+            assert stats.g2_number(i, j) == float(np.sum(probs * (anti * stokes))) / denom
 
 
 def test_trace_distance_basic():
