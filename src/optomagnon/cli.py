@@ -394,6 +394,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigDomainError(f"--trials must be >= 0, got {args.trials}")
         if args.grid_points < 1:
             raise ConfigDomainError(f"--grid-points must be >= 1, got {args.grid_points}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigDomainError(f"--seed must be >= 0, got {args.seed}")
         config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, rng_seed=args.seed)

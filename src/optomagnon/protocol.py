@@ -53,10 +53,9 @@ from .channels import (
     DetectorSpec,
     SqueezerSpec,
     SwapSpec,
+    _loss_kraus_blocks,
     beamsplitter_unitary,
-    click_measurement,
     geometric_weights,
-    loss_channel,
     loss_kraus_sum,
     phase_shift_unitary,
     squeezer_vacuum_tail,
@@ -77,7 +76,7 @@ from .fock import (
     FockSpaceError,
     ModeRegistry,
     MultiModeState,
-    apply_unitary,
+    embed_single_mode,
     fidelity_with_pure,
     sandwich,
 )
@@ -91,10 +90,10 @@ CONSISTENCY_DISTANCE_CONSTANT = 2.0
 
 REGIME_LIMIT = 0.1
 
-# Largest density-matrix dimension a pipeline stage may allocate; the four
-# active modes at the default cutoffs use 256.  Peak memory is about 3.2
-# dense complex matrices of this dimension (857 MB at cutoffs 7/7, D = 4096),
-# so the limit admits cutoffs 8/8 (D = 6561) and rejects 9/9.
+# Largest stage dimension (256 at the default cutoffs): admits cutoffs 8/8 (D = 6561), rejects 9/9.
+# Peak RSS of a fresh process (60 MB after imports) for entangle_stage / a 25-phase witness_exact:
+# 69 / 81 MB at cutoffs 6/6 and 75 / 99 MB at 7/7; with losses 0.8, 115 / 115 MB at 6/6 and
+# 210 / 210 MB at 7/7 (2-core Xeon VM, 1 BLAS thread).
 PIPELINE_MAX_DIMENSION = 8192
 
 
@@ -197,6 +196,8 @@ class ProtocolConfig:
             raise ProtocolError(f"unknown thermal_model {self.thermal_model!r}")
         if self.magnon_decay_delay_ratio < 0:
             raise ProtocolError("magnon_decay_delay_ratio must be >= 0")
+        if self.rng_seed < 0:
+            raise ProtocolError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
         for name in ("herald_floor", "witness_divergence_epsilon"):
             if getattr(self, name) < 0:
                 raise ProtocolError(f"{name} must be >= 0")
@@ -322,133 +323,162 @@ def thermal_final_state(thermal_ratio: float, sign: int, magnon_cutoff: int = 3)
 
 @dataclass(frozen=True)
 class EntangleFrontState:
-    """Unconditioned optical/magnon state just before the herald detectors.
+    """Unconditioned optical/magnon state just before the herald detectors, on its Stokes sectors.
 
-    Mode order: Stokes detector-1 port, Stokes detector-2 port, magnon A,
-    magnon B.  ``truncation_estimate`` collects squeezer tails, thermal
-    bookkeeping leakage and any trace drift.
+    ``blocks[k]`` is the (magnon A, magnon B) block of Stokes occupations ``sectors[k] =
+    (s1, s2)`` (detector-1 port, detector-2 port).  The Stokes-off-diagonal coherences are
+    dropped: the herald's partial trace and every trace read only Stokes-diagonal entries.
+    ``truncation_estimate`` collects squeezer tails, thermal leakage and any trace drift.
     """
 
-    rho: DensityOperator
+    sectors: list[tuple[int, int]]
+    blocks: np.ndarray
     truncation_estimate: float
 
 
-def _pump_split(pulse_mean_photons: float) -> tuple[complex, complex]:
-    """Classical pump amplitudes per arm after the symmetric 50/50 splitter."""
-    alpha = math.sqrt(pulse_mean_photons)
-    return alpha / math.sqrt(2.0), 1j * alpha / math.sqrt(2.0)
+def _support_step(op, support: np.ndarray, rho: np.ndarray):
+    """``op rho op+`` for ``rho`` on the sorted basis indices ``support``: the rows the CSR
+    ``op`` reaches, and the sandwich there (bit-identical to the full-space one)."""
+    cols = op[:, support]
+    rows = np.flatnonzero(np.diff(cols.indptr))
+    return rows, sandwich(cols[rows], rho)
 
 
-def _apply_thermal_overlay(rho: DensityOperator, nbar: float,
-                           labels: Sequence[str]) -> tuple[DensityOperator, float]:
-    """Classical-mixture bookkeeping of residual thermal occupation.
+def _support_loss(registry: ModeRegistry, mode: str, eta: float, support, rho):
+    """Pure-loss Kraus sum on the support, added term by term onto the union of supports."""
+    terms = [_support_step(embed_single_mode(registry, mode, block).matrix, support, rho)
+             for block in _loss_kraus_blocks(registry.cutoff_of(mode), eta)]
+    union = np.unique(np.concatenate([rows for rows, _ in terms]))
+    out = np.zeros((union.size, union.size), dtype=complex)
+    for rows, term in terms:
+        at = np.searchsorted(union, rows)
+        out[np.ix_(at, at)] += term
+    return union, out
 
-    Each magnon mode independently starts with n quanta with geometric
-    weight (1-S) S^n; those quanta ride along unchanged on top of the
-    protocol state (no bosonic stimulation).  Shifting a mode up by n is a
-    slice-add on its ket and bra axes of the ``dims + dims`` tensor.
-    Weight pushed past a cutoff is dropped and reported.
-    """
-    registry = rho.registry
-    dims = registry.dims
-    tensor = rho.matrix.reshape(dims + dims)
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """Contiguous diagonal of a block stack, in dense basis order."""
+    return np.diagonal(stack, axis1=-2, axis2=-1).reshape(-1)
+
+
+def _thermal_overlay(blocks: np.ndarray, nbar: float, dims: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """Classical-mixture bookkeeping of residual thermal occupation on a sector stack: each
+    magnon mode starts with n quanta with weight (1-S) S^n, which ride along unchanged (a
+    slice-add on its ket and bra axes); weight pushed past a cutoff is dropped and reported."""
+    d_a, d_b = dims
+    tensor = blocks.reshape(-1, d_a, d_b, d_a, d_b)
     out = np.zeros_like(tensor)
-    shifts = []
-    for label in labels:
-        axis = registry.axis_of(label)
-        weights = geometric_weights(nbar, registry.cutoff_of(label))
-        shifts.append([(axis, n, w) for n, w in enumerate(weights) if w > 0.0])
-    shifts_a, shifts_b = shifts
-    for axis_a, n_a, w_a in shifts_a:
-        for axis_b, n_b, w_b in shifts_b:
-            dst = [slice(None)] * tensor.ndim
-            src = [slice(None)] * tensor.ndim
-            for axis, n in ((axis_a, n_a), (axis_b, n_b)):
-                for ax in (axis, axis + len(dims)):
-                    dst[ax] = slice(n, dims[axis])
-                    src[ax] = slice(0, dims[axis] - n)
-            out[tuple(dst)] += (w_a * w_b) * tensor[tuple(src)]
-    out = out.reshape(rho.matrix.shape)
-    retained = float(np.trace(out).real)
-    leak = max(0.0, 1.0 - retained)
-    return DensityOperator(registry, out / retained), leak
+    shifts_a, shifts_b = ([(n, w) for n, w in enumerate(geometric_weights(nbar, d - 1)) if w > 0.0]
+                          for d in dims)
+    for n_a, w_a in shifts_a:
+        for n_b, w_b in shifts_b:
+            out[:, n_a:, n_b:, n_a:, n_b:] += (w_a * w_b) * tensor[
+                :, :d_a - n_a, :d_b - n_b, :d_a - n_a, :d_b - n_b]
+    out = out.reshape(blocks.shape)
+    retained = float(np.sum(_diagonal(out)).real)
+    return out / retained, max(0.0, 1.0 - retained)
 
 
 def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
-    """Run the entangling optics up to (not including) the herald detectors."""
+    """Run the entangling optics up to (not including) the herald detectors: the state is
+    carried on its support up to the herald beamsplitter, then split into Stokes sectors."""
     co, cm = config.optical_cutoff, config.magnon_cutoff
-    registry = ModeRegistry.of(
-        (STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
+    registry = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
+    d_m = (cm + 1) ** 2
 
     nbar = config.mean_thermal_magnons
     seeded_thermal = config.thermal_model == "squeezed_thermal" and nbar > 0.0
-    if seeded_thermal:
-        vac, th = thermal_state(0.0, co).matrix, thermal_state(nbar, cm).matrix
-        rho = DensityOperator.product(registry, [vac, vac, th, th])
+    if seeded_thermal:  # on the magnon block of Stokes sector (0, 0)
+        th = thermal_state(nbar, cm).matrix
+        support, rho = np.arange(d_m), DensityOperator.product(config.magnon_registry(), [th, th]).matrix
     else:
-        rho = MultiModeState.vacuum(registry).to_density()
+        support, rho = np.arange(1), np.ones((1, 1), dtype=complex)
 
-    alpha_a, alpha_b = _pump_split(config.pulse_mean_photons)
+    # classical pump amplitudes per arm after the symmetric 50/50 splitter
+    alpha = math.sqrt(config.pulse_mean_photons)
     truncation = 0.0
     for stokes, magnon, pair_prob, pump in (
-        (STOKES_A, MAGNON_A, config.pair_probability_a, alpha_a),
-        (STOKES_B, MAGNON_B, config.pair_probability_b, alpha_b),
+        (STOKES_A, MAGNON_A, config.pair_probability_a, alpha / math.sqrt(2.0)),
+        (STOKES_B, MAGNON_B, config.pair_probability_b, 1j * alpha / math.sqrt(2.0)),
     ):
         if pair_prob == 0.0:
             continue
         spec = SqueezerSpec.from_pair_probability(stokes, magnon, pair_prob)
         truncation += squeezer_vacuum_tail(spec, registry)
-        rho = apply_unitary(rho, two_mode_squeezer_unitary(spec, registry))
+        support, rho = _support_step(two_mode_squeezer_unitary(spec, registry).matrix, support, rho)
         # the scattered field inherits the pump phase, shifted by the
         # -i of the interaction generator
         pair_phase = np.angle(pump) - math.pi / 2.0
         if pair_phase != 0.0:
-            rho = apply_unitary(rho, phase_shift_unitary(stokes, pair_phase, registry))
+            support, rho = _support_step(
+                phase_shift_unitary(stokes, pair_phase, registry).matrix, support, rho)
 
-    if config.propagation_transmissivity_a < 1.0:
-        rho = loss_channel(rho, STOKES_A, config.propagation_transmissivity_a)
-    if config.propagation_transmissivity_b < 1.0:
-        rho = loss_channel(rho, STOKES_B, config.propagation_transmissivity_b)
+    for stokes, eta in ((STOKES_A, config.propagation_transmissivity_a),
+                        (STOKES_B, config.propagation_transmissivity_b)):
+        if eta < 1.0:
+            support, rho = _support_loss(registry, stokes, eta, support, rho)
+    support, rho = _support_step(
+        beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry).matrix, support, rho)
 
-    rho = apply_unitary(rho, beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry))
+    blocks = np.zeros(((co + 1) ** 2, d_m, d_m), dtype=complex)
+    sector, magnons = np.divmod(support, d_m)
+    for k in np.unique(sector):
+        at = np.flatnonzero(sector == k)
+        blocks[k][np.ix_(magnons[at], magnons[at])] = rho[np.ix_(at, at)]
 
     if nbar > 0.0 and not seeded_thermal:
-        rho, leak = _apply_thermal_overlay(rho, nbar, (MAGNON_A, MAGNON_B))
+        blocks, leak = _thermal_overlay(blocks, nbar, config.magnon_registry().dims)
         truncation += leak
     elif seeded_thermal:
         truncation += 2.0 * thermal_truncation_weight(nbar, cm)
 
-    drift = abs(rho.trace - 1.0)
+    # traces sum the full-length diagonal in dense order
+    trace = np.sum(_diagonal(blocks))
+    drift = abs(float(trace.real) - 1.0)
     truncation += drift
     if drift > 0:
-        rho = rho.normalized()
-    return EntangleFrontState(rho=rho, truncation_estimate=truncation)
+        blocks = blocks / trace
+    sectors = [(s1, s2) for s1 in range(co + 1) for s2 in range(co + 1)]
+    return EntangleFrontState(sectors=sectors, blocks=blocks, truncation_estimate=truncation)
+
+
+def _herald_port(stack: np.ndarray, axis: int, weights: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """Probability of the POVM diagonal ``weights`` on Stokes axis ``axis`` of ``stack``, and the
+    normalized state it leaves on the other modes (None at probability <= 1e-15)."""
+    n_port = np.indices(stack.shape[:-1])[axis].reshape(-1)
+    probability = float(np.dot(_diagonal(stack).real.copy(), weights[n_port]))
+    if probability <= 1e-15:
+        return probability, None
+    root = np.sqrt(weights)
+    out = np.zeros(stack.shape[:axis] + stack.shape[axis + 1:], dtype=complex)
+    for s in range(stack.shape[axis]):
+        out += (np.take(stack, s, axis) * root[s]) * root[s]
+    return probability, out / np.sum(_diagonal(out))
 
 
 def entangle_stage(config: ProtocolConfig) -> HeraldedState:
-    """Herald on a single click and return the conditional two-magnon state.
-
-    Conditions on the configured detector clicking while the other stays
-    silent (double clicks are discarded), then traces out the consumed
-    optical modes.
-    """
+    """Herald on a single click and return the conditional two-magnon state: the configured
+    detector clicks while the other stays silent (double clicks are discarded), and the
+    consumed optical modes are traced out."""
     front = entangle_front_state(config)
-    herald_mode = STOKES_A if config.herald_detector_index == 1 else STOKES_B
-    silent_mode = STOKES_B if config.herald_detector_index == 1 else STOKES_A
+    co = config.optical_cutoff
+    blocks = front.blocks.reshape(co + 1, co + 1, *front.blocks.shape[1:])
+    no_click = config.detector.no_click_weights(co)
 
-    first = click_measurement(front.rho, herald_mode, config.detector)
-    if first.rho_click is None or first.p_click < config.herald_floor:
+    p_click, rho_click = _herald_port(blocks, config.herald_detector_index - 1, 1.0 - no_click)
+    if rho_click is None or p_click < config.herald_floor:
         raise HeraldError(
-            f"herald probability {first.p_click:.3e} below floor {config.herald_floor:.1e}; "
+            f"herald probability {p_click:.3e} below floor {config.herald_floor:.1e}; "
             f"no pulse or no scattering to condition on")
-    second = click_measurement(first.rho_click, silent_mode, config.detector)
-    herald_probability = first.p_click * (1.0 - second.p_click)
-    if second.rho_noclick is None or herald_probability < config.herald_floor:
+    # the silent port is the one Stokes axis left
+    herald_probability = p_click * (1.0 - _herald_port(rho_click, 0, 1.0 - no_click)[0])
+    _, rho_magnons = _herald_port(rho_click, 0, no_click)
+    if rho_magnons is None or herald_probability < config.herald_floor:
         raise HeraldError(
             f"herald probability {herald_probability:.3e} below floor {config.herald_floor:.1e}")
 
     return HeraldedState(
-        rho_magnons=second.rho_noclick,
+        rho_magnons=DensityOperator(config.magnon_registry(), rho_magnons),
         herald_probability=herald_probability,
         herald_sign=HERALD_SIGN_OF_DETECTOR[config.herald_detector_index],
         truncation_error=front.truncation_estimate,
@@ -466,7 +496,10 @@ def read_stage(heralded: HeraldedState, config: ProtocolConfig) -> DensityOperat
     magnon modes traced out; uses the configured read phase.
     """
     optics = _ReadOptics(config, heralded.rho_magnons.matrix[None])
-    mixed = optics.phase_and_mix(config.read_phase_rad)[0]
+    cm, d = config.magnon_cutoff, optics.antistokes.dimension
+    mixed = np.zeros((cm + 1, cm + 1, d, d), dtype=complex)  # zero off the shells
+    for idx, block in zip(optics.shells, optics.phase_and_mix(config.read_phase_rad)):
+        mixed[..., idx[:, None], idx] = block[0]
     return DensityOperator(optics.antistokes, mixed.sum(axis=(0, 1)))
 
 
@@ -549,23 +582,25 @@ def witness_ratio(g2_a1: float, g2_a2: float, epsilon: float) -> tuple[float, bo
 class _ReadOptics:
     """Block-restricted read optics on a stack of two-magnon matrices.
 
-    Every observable downstream of the herald beamsplitter is diagonal in the
-    Stokes ports and the read channel never touches them, so the front state
-    separates exactly into Stokes-occupation sectors.  On (magnon A, magnon B,
-    anti-Stokes A, anti-Stokes B) each read stage computes only the blocks its
-    successor reads, down to the magnon-diagonal anti-Stokes blocks the
-    detectors see.  Stage operators are row/column slices of the embedded
+    On (magnon A, magnon B, anti-Stokes A, anti-Stokes B) each read stage
+    computes only the blocks its successor reads, down to the magnon-diagonal,
+    anti-Stokes-photon-number-shell-diagonal blocks: the closing beamsplitter
+    conserves the photon number and the detectors read only its output
+    diagonals.  Stage operators are row/column slices of the embedded
     full-space CSR matrices, so kept elements match the full sandwich bit for bit.
     """
 
     def __init__(self, config: ProtocolConfig, rho: np.ndarray):
         co, cm, theta = config.optical_cutoff, config.magnon_cutoff, config.read_swap_angle_rad
         self.antistokes = ModeRegistry.of((ANTISTOKES_A, co), (ANTISTOKES_B, co))
-        self.closing_bs = beamsplitter_unitary(
+        self._anti_a_numbers, anti_b = np.divmod(np.arange(self.antistokes.dimension), co + 1)
+        # basis indices of each anti-Stokes photon-number shell, and the closing beamsplitter on it
+        self.shells = [np.flatnonzero(self._anti_a_numbers + anti_b == n) for n in range(2 * co + 1)]
+        closing_bs = beamsplitter_unitary(
             BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.antistokes).matrix
-        self._anti_a_numbers = np.arange(self.antistokes.dimension) // (co + 1)
+        self._closing = [closing_bs[idx][:, idx] for idx in self.shells]
         # the phase-independent decay, swaps and losses of the stack ``rho``,
-        # as blocks [sector, n_magnon_a, n_magnon_b, anti-Stokes^2]
+        # as blocks [sector, n_magnon_a, n_magnon_b, anti-Stokes shell^2]
         if config.magnon_decay_delay_ratio > 0.0:  # before the anti-Stokes vacuum is adjoined
             survival = math.exp(-config.magnon_decay_delay_ratio)
             for label in (MAGNON_A, MAGNON_B):
@@ -580,60 +615,51 @@ class _ReadOptics:
         rho = np.stack([sandwich(swap_a[a * rows:(a + 1) * rows:co + 1], rho)
                         for a in range(cm + 1)], axis=1)
         # swap B on each magnon-A diagonal block: anti-Stokes-B-vacuum columns
-        # in; out, one magnon-B level of rows at a time
+        # in; out, one magnon-B level of rows at a time, each level taken
+        # through the losses to its shell blocks before the next is made
         arm_b = ModeRegistry.of((MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
         swap_b = swap_coupler_unitary(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b).matrix
         swap_b = swap_b[:, ::co + 1]
-        rho = np.stack([sandwich(swap_b[b * d:(b + 1) * d], rho) for b in range(cm + 1)], axis=2)
-        for label, eta in ((ANTISTOKES_A, config.propagation_transmissivity_a),
-                           (ANTISTOKES_B, config.propagation_transmissivity_b)):
-            rho = loss_kraus_sum(rho, self.antistokes, label, eta)
-        self.fixed = np.ascontiguousarray(rho)
+        # the last loss, on anti-Stokes B, computes only the rows and columns of each shell
+        eta_b = config.propagation_transmissivity_b
+        kraus = [embed_single_mode(self.antistokes, ANTISTOKES_B, block).matrix
+                 for block in _loss_kraus_blocks(co, eta_b)] if eta_b < 1.0 else []
+        self.fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex)
+                      for idx in self.shells]
+        for b in range(cm + 1):
+            level = loss_kraus_sum(sandwich(swap_b[b * d:(b + 1) * d], rho), self.antistokes,
+                                   ANTISTOKES_A, config.propagation_transmissivity_a)
+            for idx, fixed in zip(self.shells, self.fixed):
+                if not kraus:
+                    fixed[:, :, b] = level[..., idx[:, None], idx]
+                for op in kraus:
+                    fixed[:, :, b] += sandwich(op[idx], level)
 
-    def phase_and_mix(self, delta_phi: float) -> np.ndarray:
-        """Arm-A read phase and closing beamsplitter on every fixed block."""
+    def phase_and_mix(self, delta_phi: float) -> list[np.ndarray]:
+        """Arm-A read phase and closing beamsplitter on every fixed shell block."""
         phases = np.exp(1j * delta_phi * self._anti_a_numbers)
-        return sandwich(self.closing_bs, self.fixed * phases[:, None] * phases[None, :].conj())
+        return [sandwich(op, block * phases[idx, None] * phases[None, idx].conj())
+                for idx, op, block in zip(self.shells, self._closing, self.fixed)]
 
 
-def _stokes_sector_blocks(front_rho: DensityOperator) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _stokes_sector_blocks(front: EntangleFrontState) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Occupied Stokes sectors (s1, s2) and an owning stack of their magnon blocks."""
-    dims = front_rho.registry.dims
-    tensor = front_rho.matrix.reshape(dims + dims)
-    d_m = dims[2] * dims[3]
-    blocks = {(s1, s2): tensor[s1, s2, :, :, s1, s2, :, :].reshape(d_m, d_m)
-              for s1 in range(dims[0]) for s2 in range(dims[1])}
-    sectors = [key for key, block in blocks.items() if float(np.trace(block).real) > 1e-18]
-    return sectors, np.stack([blocks[key] for key in sectors])
-
-
-def _stokes_sector_weights(front_rho: DensityOperator) -> dict[tuple[int, int], float]:
-    dims = front_rho.registry.dims
-    diag = front_rho.occupation_probabilities().reshape(dims)
-    weights = diag.sum(axis=(2, 3))
-    return {(s1, s2): float(weights[s1, s2])
-            for s1 in range(dims[0]) for s2 in range(dims[1])}
-
-
-def _sector_optics(config: ProtocolConfig, split) -> tuple[list[tuple[int, int]], _ReadOptics]:
-    """Front state, ``split`` into Stokes sectors and magnon blocks, through the fixed read optics.
-    The front lives as long as this frame: through the fixed evolution, so that the phase loop's
-    temporaries reuse its heap (freed earlier, 7x the page faults and 1.7x the time at the
-    reference point on a 2-core Xeon VM), and not into the phase loop."""
-    front = entangle_front_state(config).rho
-    sectors, blocks = split(front)
-    return sectors, _ReadOptics(config, blocks)
+    keep = [k for k, block in enumerate(front.blocks) if float(np.trace(block).real) > 1e-18]
+    return [front.sectors[k] for k in keep], front.blocks[keep]
 
 
 def _phase_statistics(config: ProtocolConfig, phase_grid: Sequence[float],
                       split) -> list[JointStatistics]:
     """Detector statistics per read phase of the sector blocks ``split`` takes from the front."""
-    sectors, optics = _sector_optics(config, split)
+    sectors, blocks = split(entangle_front_state(config))
+    optics = _ReadOptics(config, blocks)
     co, cm = config.optical_cutoff, config.magnon_cutoff
     out = []
     for delta_phi in phase_grid:
         probs = np.zeros((co + 1, co + 1, co + 1, co + 1))
-        diags = np.diagonal(optics.phase_and_mix(float(delta_phi)), axis1=-2, axis2=-1).real.copy()
+        diags = np.zeros((len(sectors), cm + 1, cm + 1, (co + 1) ** 2))
+        for idx, mixed in zip(optics.shells, optics.phase_and_mix(float(delta_phi))):
+            diags[..., idx] = np.diagonal(mixed, axis1=-2, axis2=-1).real
         for (s1, s2), diag in zip(sectors, diags):
             # a contiguous (cm+1, cm+1, co+1, co+1) array fixes the summation order
             probs[s1, s2] += diag.reshape(cm + 1, cm + 1, co + 1, co + 1).sum(axis=(0, 1))
@@ -685,10 +711,12 @@ def separable_baseline(config: ProtocolConfig, phase_grid: Sequence[float],
     else:
         raise ProtocolError(f"unknown baseline {baseline!r}; choose from {SEPARABLE_BASELINES}")
 
-    def weighted_blocks(front: DensityOperator) -> tuple[list[tuple[int, int]], np.ndarray]:
-        weights = _stokes_sector_weights(front)
-        sectors = [key for key, weight in weights.items() if weight > 0.0]
-        return sectors, np.stack([weights[key] * mat for key in sectors])
+    def weighted_blocks(front: EntangleFrontState) -> tuple[list[tuple[int, int]], np.ndarray]:
+        # Stokes-sector weights: the front's diagonal summed over the magnon axes
+        co, cm = config.optical_cutoff, config.magnon_cutoff
+        diag = _diagonal(front.blocks).real.copy().reshape(co + 1, co + 1, cm + 1, cm + 1)
+        kept = [(key, float(w)) for key, w in zip(front.sectors, diag.sum(axis=(2, 3)).ravel()) if w > 0.0]
+        return [key for key, _ in kept], np.stack([w * mat for _, w in kept])
 
     return [stats.witness_point(stokes_detector, config.witness_divergence_epsilon)
             for stats in _phase_statistics(config, phase_grid, weighted_blocks)]

@@ -315,6 +315,24 @@ def test_negative_counts_are_domain_errors(capsys, args, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["mc-run", "--trials", "10", "--seed", "-1"],
+    ["oracle-compare", "--trials", "100", "--seed", "-3"],
+    ["witness-sweep", "--grid-points", "3", "--trials", "100", "--seed", "-2"],
+])
+def test_negative_seed_is_a_domain_error_naming_the_flag(tmp_path, capsys, args):
+    assert _run(args + ["--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
+    assert "--seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mc-run", "oracle-compare", "witness-sweep"])
+def test_negative_config_seed_is_a_domain_error_naming_the_field(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "seed.cfg", "rng_seed = -4\n")
+    assert _run([command, "--config", cfg, "--trials", "10",
+                 "--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
+    assert "field 'rng_seed': rng_seed must be >= 0" in capsys.readouterr().err
+
+
 def test_witness_sweep_zero_count_phases_leave_mc_cells_empty(tmp_path):
     # at the reference point a Stokes click comes once in ~2e4 trials, so
     # 2000 trials per phase leave phases with zero counts

@@ -11,12 +11,20 @@ from optomagnon import protocol
 from optomagnon.channels import (
     BeamsplitterSpec,
     DetectorSpec,
+    SqueezerSpec,
     SwapSpec,
     _loss_kraus_blocks,
     beamsplitter_unitary,
     click_measurement,
+    geometric_weights,
+    loss_channel,
+    phase_shift_unitary,
+    squeezer_vacuum_tail,
     swap_coupler_unitary,
+    thermal_state,
+    thermal_truncation_weight,
     thermal_weights,
+    two_mode_squeezer_unitary,
 )
 from optomagnon.fock import (
     ANTISTOKES_A,
@@ -27,6 +35,8 @@ from optomagnon.fock import (
     STOKES_B,
     DensityOperator,
     ModeRegistry,
+    MultiModeState,
+    apply_unitary,
     embed_single_mode,
     expectation,
     fidelity_with_pure,
@@ -39,9 +49,8 @@ from optomagnon.protocol import (
     ProtocolError,
     ProtocolRegimeWarning,
     ZeroIntensityError,
-    _apply_thermal_overlay,
     _stokes_sector_blocks,
-    _stokes_sector_weights,
+    _thermal_overlay,
     JointStatistics,
     closed_form_fidelity,
     consistency_check_thermal,
@@ -119,6 +128,16 @@ def test_regime_warning_covers_arm_b_scattering():
         ProtocolConfig(stokes_probability_b=0.2)
 
 
+def _sector_stack(rho):
+    """Stokes-diagonal (magnon A, magnon B) blocks of a (Stokes 1, Stokes 2, magnon A,
+    magnon B) matrix, in sector order (s1, s2)."""
+    dims = rho.registry.dims
+    tensor = rho.matrix.reshape(dims + dims)
+    d_m = dims[2] * dims[3]
+    return np.stack([tensor[s1, s2, :, :, s1, s2].reshape(d_m, d_m)
+                     for s1 in range(dims[0]) for s2 in range(dims[1])])
+
+
 def test_thermal_overlay_matches_embedded_shift_sandwiches():
     # reference: each pair of initial occupations (n_a, n_b) lifts the state
     # by V_a V_b rho V_b^+ V_a^+ with full-space shift operators
@@ -144,8 +163,9 @@ def test_thermal_overlay_matches_embedded_shift_sandwiches():
         for w_b, v_b in shifts(MAGNON_B):
             expected += (w_a * w_b) * (v_a @ (v_b @ rho.matrix @ v_b.conj().T) @ v_a.conj().T)
     retained = float(np.trace(expected).real)
-    got, leak = _apply_thermal_overlay(rho, 0.3, (MAGNON_A, MAGNON_B))
-    assert np.array_equal(got.matrix, expected / retained)
+    # the overlay runs on the Stokes-diagonal sector stack of the same matrix
+    got, leak = _thermal_overlay(_sector_stack(rho), 0.3, registry.dims[2:])
+    assert np.array_equal(got, _sector_stack(DensityOperator(registry, expected)) / retained)
     assert leak == max(0.0, 1.0 - retained)
 
 
@@ -160,14 +180,14 @@ def test_phase_statistics_give_the_exact_witness_curve():
 
 
 def test_front_matrix_is_released_before_the_phase_loop(monkeypatch):
-    # the sector blocks are taken from the front matrix; neither it nor a
-    # view of it may stay alive into the per-phase read optics
+    # the sector blocks are taken from the front's block stack; neither it
+    # nor a view of it may stay alive into the per-phase read optics
     fronts, alive_at_mix = [], []
     build, mix = protocol.entangle_front_state, protocol._ReadOptics.phase_and_mix
 
     def traced_build(config):
         front = build(config)
-        fronts.append(weakref.ref(front.rho.matrix))
+        fronts.append(weakref.ref(front.blocks))
         return front
 
     def traced_mix(self, delta_phi):
@@ -530,12 +550,11 @@ READ_ENGINE_CONFIGS = [
 def test_read_engine_is_bit_identical_to_dense_reference(cfg):
     grid = [float(x) for x in np.linspace(0.0, 2.0 * math.pi, 7)] + [0.9, cfg.read_phase_rad]
     optics = _DenseReadOptics(cfg)
-    front = entangle_front_state(cfg).rho
-    blocks = dict(zip(*_stokes_sector_blocks(front)))
+    blocks = dict(zip(*_stokes_sector_blocks(entangle_front_state(cfg))))
     for stats, probs in zip(exact_phase_statistics(cfg, grid), optics.statistics(blocks, grid)):
         assert np.array_equal(stats.number_probabilities, probs)
 
-    weights = _stokes_sector_weights(front)
+    weights = _DenseFront(cfg).sector_weights()
     w = thermal_weights(cfg.mean_thermal_magnons, cfg.magnon_cutoff)
     mixture = np.zeros(((cfg.magnon_cutoff + 1) ** 2,) * 2, dtype=complex)
     mixture[1, 1] = mixture[cfg.magnon_cutoff + 1, cfg.magnon_cutoff + 1] = 0.5
@@ -554,6 +573,149 @@ def test_read_engine_is_bit_identical_to_dense_reference(cfg):
     got = read_stage(heralded, cfg)
     assert got.registry == dense.registry
     assert np.abs(got.matrix - dense.matrix).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# front and herald against the dense full-space reference
+
+
+class _DenseFront:
+    """Reference entangling stage: the dense full-space front matrix, built
+    by full-space sandwiches, the dense-tensor thermal overlay, and the
+    two-detector herald as two `click_measurement` calls."""
+
+    def __init__(self, config):
+        co, cm = config.optical_cutoff, config.magnon_cutoff
+        registry = ModeRegistry.of(
+            (STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
+        nbar = config.mean_thermal_magnons
+        seeded_thermal = config.thermal_model == "squeezed_thermal" and nbar > 0.0
+        if seeded_thermal:
+            vac, th = thermal_state(0.0, co).matrix, thermal_state(nbar, cm).matrix
+            rho = DensityOperator.product(registry, [vac, vac, th, th])
+        else:
+            rho = MultiModeState.vacuum(registry).to_density()
+        alpha = math.sqrt(config.pulse_mean_photons)
+        pumps = (alpha / math.sqrt(2.0), 1j * alpha / math.sqrt(2.0))
+        truncation = 0.0
+        for stokes, magnon, pair_prob, pump in (
+            (STOKES_A, MAGNON_A, config.pair_probability_a, pumps[0]),
+            (STOKES_B, MAGNON_B, config.pair_probability_b, pumps[1]),
+        ):
+            if pair_prob == 0.0:
+                continue
+            spec = SqueezerSpec.from_pair_probability(stokes, magnon, pair_prob)
+            truncation += squeezer_vacuum_tail(spec, registry)
+            rho = apply_unitary(rho, two_mode_squeezer_unitary(spec, registry))
+            pair_phase = np.angle(pump) - math.pi / 2.0
+            if pair_phase != 0.0:
+                rho = apply_unitary(rho, phase_shift_unitary(stokes, pair_phase, registry))
+        if config.propagation_transmissivity_a < 1.0:
+            rho = loss_channel(rho, STOKES_A, config.propagation_transmissivity_a)
+        if config.propagation_transmissivity_b < 1.0:
+            rho = loss_channel(rho, STOKES_B, config.propagation_transmissivity_b)
+        rho = apply_unitary(rho, beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry))
+        if nbar > 0.0 and not seeded_thermal:
+            rho, leak = self._overlay(rho, nbar)
+            truncation += leak
+        elif seeded_thermal:
+            truncation += 2.0 * thermal_truncation_weight(nbar, cm)
+        drift = abs(rho.trace - 1.0)
+        truncation += drift
+        if drift > 0:
+            rho = rho.normalized()
+        self.config, self.rho, self.truncation_estimate = config, rho, truncation
+
+    @staticmethod
+    def _overlay(rho, nbar):
+        registry = rho.registry
+        dims = registry.dims
+        tensor = rho.matrix.reshape(dims + dims)
+        out = np.zeros_like(tensor)
+        shifts = []
+        for label in (MAGNON_A, MAGNON_B):
+            axis = registry.axis_of(label)
+            weights = geometric_weights(nbar, registry.cutoff_of(label))
+            shifts.append([(axis, n, w) for n, w in enumerate(weights) if w > 0.0])
+        for axis_a, n_a, w_a in shifts[0]:
+            for axis_b, n_b, w_b in shifts[1]:
+                dst = [slice(None)] * tensor.ndim
+                src = [slice(None)] * tensor.ndim
+                for axis, n in ((axis_a, n_a), (axis_b, n_b)):
+                    for ax in (axis, axis + len(dims)):
+                        dst[ax] = slice(n, dims[axis])
+                        src[ax] = slice(0, dims[axis] - n)
+                out[tuple(dst)] += (w_a * w_b) * tensor[tuple(src)]
+        out = out.reshape(rho.matrix.shape)
+        retained = float(np.trace(out).real)
+        return DensityOperator(registry, out / retained), max(0.0, 1.0 - retained)
+
+    def sector_weights(self):
+        dims = self.rho.registry.dims
+        weights = self.rho.occupation_probabilities().reshape(dims).sum(axis=(2, 3))
+        return {(s1, s2): float(weights[s1, s2]) for s1 in range(dims[0]) for s2 in range(dims[1])}
+
+    def herald(self):
+        """Heralded magnon matrix and herald probability."""
+        config = self.config
+        herald_mode = STOKES_A if config.herald_detector_index == 1 else STOKES_B
+        silent_mode = STOKES_B if config.herald_detector_index == 1 else STOKES_A
+        first = click_measurement(self.rho, herald_mode, config.detector)
+        if first.rho_click is None or first.p_click < config.herald_floor:
+            raise HeraldError("no herald")
+        second = click_measurement(first.rho_click, silent_mode, config.detector)
+        herald_probability = first.p_click * (1.0 - second.p_click)
+        if second.rho_noclick is None or herald_probability < config.herald_floor:
+            raise HeraldError("no herald")
+        return second.rho_noclick.matrix, herald_probability
+
+
+LOSSY_C4 = ProtocolConfig(
+    optical_cutoff=4, magnon_cutoff=4, propagation_transmissivity_a=0.8,
+    propagation_transmissivity_b=0.8, detector=DetectorSpec(efficiency=0.6, dark_click_probability=1e-4),
+    magnon_decay_delay_ratio=0.1, temperature_k=0.05)
+
+FRONT_ENGINE_CONFIGS = READ_ENGINE_CONFIGS + [
+    LOSSY_C4,
+    COLD,
+    ProtocolConfig(stokes_probability_b=0.02, propagation_transmissivity_b=0.5,
+                   herald_detector_index=2),
+]
+
+
+@pytest.mark.parametrize("cfg", FRONT_ENGINE_CONFIGS)
+def test_front_and_herald_are_bit_identical_to_dense_reference(cfg):
+    dense = _DenseFront(cfg)
+    front = entangle_front_state(cfg)
+    co, cm = cfg.optical_cutoff, cfg.magnon_cutoff
+    assert front.sectors == [(s1, s2) for s1 in range(co + 1) for s2 in range(co + 1)]
+    assert np.array_equal(front.blocks, _sector_stack(dense.rho))
+    assert front.truncation_estimate == dense.truncation_estimate
+    # the baseline weights: the stack's diagonal summed over the magnon axes
+    diag = np.diagonal(front.blocks, axis1=1, axis2=2).real.reshape(co + 1, co + 1, cm + 1, cm + 1)
+    weights = diag.sum(axis=(2, 3))
+    assert {key: float(weights[key]) for key in front.sectors} == dense.sector_weights()
+
+    heralded = entangle_stage(cfg)
+    rho, herald_probability = dense.herald()
+    assert np.array_equal(heralded.rho_magnons.matrix, rho)
+    assert heralded.herald_probability == herald_probability
+    assert heralded.truncation_error == dense.truncation_estimate
+
+
+def test_engine_peak_memory_stays_below_one_dense_front_matrix():
+    cfg = ProtocolConfig(optical_cutoff=6, magnon_cutoff=6, propagation_transmissivity_a=0.8,
+                         propagation_transmissivity_b=0.8)
+    dense_bytes = 16 * ((cfg.optical_cutoff + 1) * (cfg.magnon_cutoff + 1)) ** 4  # 92 MB
+    for run in (lambda: entangle_stage(cfg),
+                lambda: exact_phase_statistics(cfg, np.linspace(0.0, 2.0 * math.pi, 5))):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 ``perfbench/reference/<workload>.json`` holds, per op kind, the config text,
 the argv and the output (or, for ``mc-run``, its sha256) that the CLI wrote
-at the default benchmark seed.  Replaying the first op of every kind through
+at the default benchmark seed.  Replaying every stored op through
 ``cli.main`` with the benchmark's own argv must reproduce those bytes, and
 every function the benchmark's tracer wraps must still exist by name.
 This file only reads ``perfbench/``.
@@ -22,15 +22,17 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("ref-exact", "lossy-c4", "counting")
 
 
-def _first_ops():
-    for workload in WORKLOADS:
-        ops = json.loads((PERFBENCH / "reference" / f"{workload}.json").read_text())["ops"]
-        for kind, entries in ops.items():
-            yield pytest.param(entries[0], id=f"{workload}-{kind}")
+# (workload-kind, index, op) for every stored op
+STORED_OPS = [
+    (f"{workload}-{kind}", index, op)
+    for workload in WORKLOADS
+    for kind, entries in json.loads(
+        (PERFBENCH / "reference" / f"{workload}.json").read_text())["ops"].items()
+    for index, op in enumerate(entries)
+]
 
 
-@pytest.mark.parametrize("op", _first_ops())
-def test_first_stored_op_of_every_kind_is_byte_identical(tmp_path, op):
+def _replay(tmp_path, op):
     config, out = tmp_path / "op.cfg", tmp_path / "op.out"
     config.write_text(op["config"])
     argv = [op["args"][0], "--config", str(config), *op["args"][1:],
@@ -41,6 +43,18 @@ def test_first_stored_op_of_every_kind_is_byte_identical(tmp_path, op):
         assert hashlib.sha256(text.encode()).hexdigest() == op["sha256"]
     else:
         assert text == op["output"]
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=name)
+                                for name, index, op in STORED_OPS if index == 0])
+def test_first_stored_op_of_every_kind_is_byte_identical(tmp_path, op):
+    _replay(tmp_path, op)
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=f"{name}-{index}")
+                                for name, index, op in STORED_OPS if index > 0])
+def test_every_other_stored_op_is_byte_identical(tmp_path, op):
+    _replay(tmp_path, op)
 
 
 def test_every_traced_name_resolves():
