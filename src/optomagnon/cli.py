@@ -9,9 +9,10 @@ Commands
 
 Every command is deterministic given (config file, seed): reruns produce
 identical bytes.  ``--workers`` is accepted and changes nothing.  Each
-command builds the exact engine once.  Exit codes: 0 success,
-2 config parse error, 3 domain error, 4 runtime error, 5 oracle-compare
-failure.
+command builds the exact engine once and lifts each distinct stage operator
+once, so the points of a sweep reuse the lifts; commands share none.
+Exit codes: 0 success, 2 config parse error, 3 domain error, 4 runtime
+error, 5 oracle-compare failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import montecarlo
 from .channels import DetectorSpec
-from .fock import FockSpaceError, fidelity_with_pure
+from .fock import FockSpaceError, _lift, fidelity_with_pure
 from .protocol import (
     HeraldError,
     ProtocolConfig,
@@ -166,6 +167,9 @@ class SweepSpec:
             start_f, stop_f, count_i = float(start), float(stop), int(count)
         except ValueError as exc:
             raise ConfigDomainError(f"bad sweep bounds in {text!r}") from exc
+        for name, value in (("start", start_f), ("stop", stop_f), ("stop - start", stop_f - start_f)):
+            if not math.isfinite(value):
+                raise ConfigDomainError(f"--sweep {field} must be finite, got {name} = {value!r}")
         if count_i < 1:
             raise ConfigDomainError("sweep count must be >= 1")
         return cls(field, start_f, stop_f, count_i)
@@ -382,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    _lift.cache_clear()  # a command costs what it would in a fresh process
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

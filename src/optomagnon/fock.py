@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -289,36 +290,35 @@ def _digits(registry: ModeRegistry, labels: Sequence[str]) -> tuple[np.ndarray, 
 
 
 def _embed_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray) -> ModeOperator:
-    """Lift a matrix on distinct modes (row-major in their occupations) to the full space."""
+    """Lift a matrix on distinct modes (row-major in their occupations) to the full space.
+    Lifts are memoized on the block's bytes and shared, so their CSR arrays are read-only."""
     if len(set(labels)) != len(labels):
         raise FockSpaceError(f"a block needs distinct modes, got {tuple(labels)}")
-    axes = [registry.axis_of(label) for label in labels]
-    dims = tuple(registry.dims[axis] for axis in axes)
-    strides = [registry.strides[axis] for axis in axes]
+    dims = tuple(registry.dims[registry.axis_of(label)] for label in labels)
     block = np.asarray(block, dtype=complex)
     if block.shape != (math.prod(dims),) * 2:
         raise RegistryMismatchError(f"block shape {block.shape} does not match modes {tuple(labels)}")
-    cols = np.arange(registry.dimension)
+    return _lift(registry, tuple(labels), block.shape[0], block.tobytes())
+
+
+@functools.lru_cache(maxsize=128)
+def _lift(registry: ModeRegistry, labels: tuple[str, ...], size: int, data: bytes) -> ModeOperator:
+    block = np.frombuffer(data, dtype=complex).reshape(size, size)
+    axes = [registry.axis_of(label) for label in labels]
+    dims = tuple(registry.dims[axis] for axis in axes)
+    strides = [registry.strides[axis] for axis in axes]
     digits = _digits(registry, labels)
-    rest = cols - sum(n * stride for n, stride in zip(digits, strides))
+    rest = np.arange(registry.dimension) - sum(n * stride for n, stride in zip(digits, strides))
     bcol = np.ravel_multi_index(digits, dims)
-    rows_all, cols_all, vals_all = [], [], []
-    for brow in range(block.shape[0]):
-        vals = block[brow, bcol]
-        mask = vals != 0
-        if not mask.any():
-            continue
-        out_digits = np.unravel_index(brow, dims)
-        rows_all.append(rest[mask] + sum(int(n) * stride for n, stride in zip(out_digits, strides)))
-        cols_all.append(cols[mask])
-        vals_all.append(vals[mask])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_all) if vals_all else np.array([], dtype=complex),
-         (np.concatenate(rows_all) if rows_all else np.array([], dtype=int),
-          np.concatenate(cols_all) if cols_all else np.array([], dtype=int))),
-        shape=(registry.dimension, registry.dimension),
-    )
-    return ModeOperator(registry, mat.tocsr())
+    vals = block[:, bcol]
+    out_rows = sum(n * stride for n, stride in zip(np.unravel_index(np.arange(size), dims), strides))
+    brows, keep = np.nonzero(vals)
+    mat = sp.coo_matrix((vals[brows, keep], (out_rows[brows] + rest[keep], keep)),
+                        shape=(registry.dimension, registry.dimension))
+    op = ModeOperator(registry, mat.tocsr())
+    for array in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+        array.flags.writeable = False
+    return op
 
 
 def embed_single_mode(registry: ModeRegistry, label: str, block: np.ndarray) -> ModeOperator:

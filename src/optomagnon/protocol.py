@@ -583,10 +583,12 @@ class _ReadOptics:
     """Block-restricted read optics on a stack of two-magnon matrices.
 
     On (magnon A, magnon B, anti-Stokes A, anti-Stokes B) each read stage
-    computes only the blocks its successor reads, down to the magnon-diagonal,
-    anti-Stokes-photon-number-shell-diagonal blocks: the closing beamsplitter
-    conserves the photon number and the detectors read only its output
-    diagonals.  Stage operators are row/column slices of the embedded
+    computes only the blocks its successor reads.  The swaps make the
+    magnon-diagonal blocks one magnon-B level at a time, both anti-Stokes
+    losses run as whole Kraus sums on each level, and only then are its
+    anti-Stokes-photon-number-shell-diagonal blocks gathered: the closing
+    beamsplitter conserves the photon number and the detectors read only its
+    output diagonals.  Stage operators are row/column slices of the embedded
     full-space CSR matrices, so kept elements match the full sandwich bit for bit.
     """
 
@@ -616,24 +618,19 @@ class _ReadOptics:
                         for a in range(cm + 1)], axis=1)
         # swap B on each magnon-A diagonal block: anti-Stokes-B-vacuum columns
         # in; out, one magnon-B level of rows at a time, each level taken
-        # through the losses to its shell blocks before the next is made
+        # through both anti-Stokes losses to its shell blocks before the next is made
         arm_b = ModeRegistry.of((MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
         swap_b = swap_coupler_unitary(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b).matrix
         swap_b = swap_b[:, ::co + 1]
-        # the last loss, on anti-Stokes B, computes only the rows and columns of each shell
-        eta_b = config.propagation_transmissivity_b
-        kraus = [embed_single_mode(self.antistokes, ANTISTOKES_B, block).matrix
-                 for block in _loss_kraus_blocks(co, eta_b)] if eta_b < 1.0 else []
         self.fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex)
                       for idx in self.shells]
         for b in range(cm + 1):
-            level = loss_kraus_sum(sandwich(swap_b[b * d:(b + 1) * d], rho), self.antistokes,
-                                   ANTISTOKES_A, config.propagation_transmissivity_a)
+            level = sandwich(swap_b[b * d:(b + 1) * d], rho)
+            for label, eta in ((ANTISTOKES_A, config.propagation_transmissivity_a),
+                               (ANTISTOKES_B, config.propagation_transmissivity_b)):
+                level = loss_kraus_sum(level, self.antistokes, label, eta)
             for idx, fixed in zip(self.shells, self.fixed):
-                if not kraus:
-                    fixed[:, :, b] = level[..., idx[:, None], idx]
-                for op in kraus:
-                    fixed[:, :, b] += sandwich(op[idx], level)
+                fixed[:, :, b] = level[..., idx[:, None], idx]
 
     def phase_and_mix(self, delta_phi: float) -> list[np.ndarray]:
         """Arm-A read phase and closing beamsplitter on every fixed shell block."""

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from optomagnon import fock
 from optomagnon.cli import (
     _FLOAT_FIELDS,
     EXIT_DOMAIN_ERROR,
@@ -120,6 +121,25 @@ def test_fidelity_sweep_reference_rows(tmp_path):
     assert abs(float(row_50mk[3]) - 0.998) < 0.005
     assert abs(float(row_100mk[3]) - 0.93) < 0.005
     assert abs(float(row_100mk[3]) - float(row_100mk[4])) < 0.01
+
+
+def test_fidelity_sweep_lifts_nothing_after_its_first_point(tmp_path):
+    misses = []
+    for sweep in ("temperature_k:0.05:0.05:1", "temperature_k:0.05:0.15:3"):
+        assert _run(["fidelity-sweep", "--sweep", sweep, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        misses.append(fock._lift.cache_info().misses)
+    assert misses[0] > 0
+    assert misses[1] == misses[0]
+
+
+def test_each_command_lifts_afresh(tmp_path):
+    infos = []
+    for _ in range(2):
+        assert _run(["fidelity-sweep", "--sweep", "temperature_k:0.05:0.05:1",
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        infos.append(fock._lift.cache_info())
+    assert infos[0].misses > 0
+    assert infos[1] == infos[0]
 
 
 def test_fidelity_sweep_zero_thermal_row(tmp_path):
@@ -367,6 +387,24 @@ def test_non_finite_sweep_value_is_a_domain_error(tmp_path, capsys):
     assert _run(["fidelity-sweep", "--sweep", "temperature_k:nan:0.1:2",
                  "--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
     assert "temperature_k must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, bound", [
+    ("temperature_k:0.1:inf:2", "stop = inf"),
+    ("temperature_k:inf:inf:1", "start = inf"),
+    ("temperature_k:-inf:0.1:2", "start = -inf"),
+    ("temperature_k:nan:0.1:2", "start = nan"),
+    ("nbar_override:1e308:-1e308:3", "stop - start = -inf"),
+])
+def test_non_finite_sweep_bound_is_a_domain_error_naming_it(tmp_path, capsys, sweep, bound):
+    field = sweep.split(":")[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(["fidelity-sweep", "--sweep", sweep, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_DOMAIN_ERROR
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"domain error: --sweep {field} must be finite, got {bound}\n"
 
 
 

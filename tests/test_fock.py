@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from optomagnon import fock
 from optomagnon.fock import (
     DensityOperator,
     FockSpaceError,
@@ -12,6 +13,8 @@ from optomagnon.fock import (
     UnknownModeError,
     annihilation,
     apply_unitary,
+    embed_mode_pair,
+    embed_single_mode,
     expectation,
     fidelity_with_pure,
     number_operator,
@@ -217,3 +220,30 @@ def test_state_check_flags_bad_norm():
     MultiModeState.vacuum(reg).check()
     with pytest.raises(NormalizationError):
         MultiModeState(reg, np.array([1.0, 1.0])).check()
+
+
+def test_lifted_operator_arrays_are_read_only():
+    op = annihilation(ModeRegistry.of(("a", 2), ("b", 3)), "b").matrix
+    for array in (op.data, op.indices, op.indptr):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+def test_cached_lift_equals_a_fresh_build():
+    reg = ModeRegistry.of(("a", 2), ("b", 3), ("c", 1))
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    block[block.real > 0.5] = 0.0
+    cached = embed_mode_pair(reg, "c", "b", block).matrix
+    assert embed_mode_pair(reg, "c", "b", block.copy()).matrix is cached
+    fresh = fock._lift.__wrapped__(reg, ("c", "b"), 8, block.tobytes()).matrix
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+
+
+def test_lift_cache_stays_bounded():
+    reg = ModeRegistry.of(("a", 1))
+    maxsize = fock._lift.cache_info().maxsize
+    for k in range(maxsize + 20):
+        embed_single_mode(reg, "a", np.diag([1.0, np.exp(1e-3j * k)]))
+    assert fock._lift.cache_info().currsize <= maxsize

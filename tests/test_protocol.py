@@ -543,6 +543,8 @@ READ_ENGINE_CONFIGS = [
     ProtocolConfig(pulse_mean_photons=0.1, stokes_probability=0.1,
                    read_swap_angle_rad=math.pi / 2),
     ProtocolConfig(optical_cutoff=1, magnon_cutoff=1),
+    ProtocolConfig(propagation_transmissivity_a=0.8, propagation_transmissivity_b=0.8,
+                   magnon_decay_delay_ratio=0.1, detector=DetectorSpec(efficiency=0.6)),
 ]
 
 
