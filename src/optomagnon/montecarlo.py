@@ -8,9 +8,11 @@ against the exact engine rather than re-deriving the physics.
 
 Trials are drawn in chunks and each chunk is folded into a 4x4 count table
 over (Stokes, anti-Stokes) click categories, the sufficient statistic the
-estimators read.  Per-trial ``ClickRecord`` objects exist only at the
-record edge (``sample_trials``, CSV/JSON), and ``write_records`` streams
-chunks to a sink without holding the run.
+estimators read.  ``write_records`` streams chunks to a sink as CSV or
+JSON without holding the run and builds no per-trial Python object: each
+chunk's text is assembled as numpy bytes.  Per-trial ``ClickRecord``
+objects exist only in the library's record-list API (``sample_trials``,
+``records_to_csv``).
 
 Reproducibility contract: a master seed is expanded into fixed-size chunk
 streams through `numpy.random.SeedSequence([seed, *tags, chunk_index])`.
@@ -83,9 +85,30 @@ def _outcome_probabilities(stats: JointStatistics) -> np.ndarray:
     return flat / flat.sum()
 
 
-def _sample_chunk(probabilities: np.ndarray, size: int, seed_entropy: Sequence[int]) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed_entropy)))
-    return rng.choice(len(probabilities), size=size, p=probabilities)
+def _draw_chunks(probabilities: np.ndarray, n_trials: int,
+                 entropy: Sequence[int]) -> Iterator[np.ndarray]:
+    """Chunk codes exactly as ``rng.choice(len(p), size, p=p)`` draws them.
+
+    Chunk ``k`` seeds its generator from ``[*entropy, k]``.  ``choice``
+    checks ``p`` and builds its CDF on every call; here both happen once,
+    on the call, and each chunk only searches its uniforms in the CDF.
+    """
+    p = np.ascontiguousarray(probabilities, dtype=np.float64)
+    # choice's own checks of p (shape, NaN, sign, normalisation); draws nothing
+    np.random.default_rng(0).choice(len(p), size=0, p=p)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+
+    def draw(start: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence([*entropy, start // CHUNK_TRIALS]))
+        u = rng.random(min(CHUNK_TRIALS, n_trials - start))
+        codes = np.zeros(len(u), dtype=np.int64)
+        # the first outcome (no click anywhere) dominates: search only the rest
+        rest = np.flatnonzero(u >= cdf[0])
+        codes[rest] = cdf.searchsorted(u[rest], side="right")
+        return codes
+
+    return map(draw, range(0, n_trials, CHUNK_TRIALS))
 
 
 def sample_chunks(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
@@ -106,11 +129,8 @@ def sample_chunks(config: ProtocolConfig, n_trials: int, seed: Optional[int] = N
         seed = config.rng_seed
     if statistics is None:
         statistics = exact_joint_statistics(config)
-    probabilities = _outcome_probabilities(statistics)
-    entropy = [int(seed), *map(int, stream_tags)]
-    return (_sample_chunk(probabilities, min(CHUNK_TRIALS, n_trials - start),
-                          entropy + [start // CHUNK_TRIALS])
-            for start in range(0, n_trials, CHUNK_TRIALS))
+    return _draw_chunks(_outcome_probabilities(statistics), n_trials,
+                        [int(seed), *map(int, stream_tags)])
 
 
 def sample_counts(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
@@ -265,20 +285,52 @@ _JSON_TAILS = tuple(f',\n    "stokes_click": "{s}",\n    "antistokes_click": "{a
                     for s, a in OUTCOMES)
 
 
+def _byte_table(texts: Sequence[str]) -> np.ndarray:
+    """ASCII bytes of ``texts``, one zero-padded ``uint8`` row each."""
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(t.encode("ascii").ljust(width, b"\0") for t in texts),
+                         dtype=np.uint8).reshape(len(texts), width)
+
+
+def _format_chunk(codes: np.ndarray, start: int, item: str, tails: np.ndarray) -> str:
+    """``item + str(start + i) + tail of codes[i]`` for every trial ``i`` of a chunk.
+
+    Each record fills one row of a byte matrix: the ``item`` text, the
+    index digits right-aligned behind zero bytes, then the zero-padded
+    ``tails`` row of its outcome.  Dropping every zero byte leaves the text.
+    """
+    n, h = len(codes), len(item)
+    width = len(str(start + n - 1))
+    digits = np.empty((width, n), dtype=np.uint8)
+    quotient = np.arange(start, start + n, dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        quotient, digits[j] = np.divmod(quotient, 10)
+    digits += ord("0")
+    # indices ascend, so those short of digit j are a leading run: blank them
+    for j in range(width - 1):
+        digits[j, :max(10 ** (width - 1 - j) - start, 0)] = 0
+    rows = np.empty((n, h + width + tails.shape[1]), dtype=np.uint8)
+    rows[:, :h] = np.frombuffer(item.encode("ascii"), dtype=np.uint8)
+    rows[:, h:h + width] = digits.T
+    rows[:, h + width:] = tails[codes]
+    return rows[rows != 0].tobytes().decode("ascii")
+
+
 def write_records(chunks: Iterable[np.ndarray], out: TextIO, fmt: str = "csv") -> None:
-    """Stream sampled chunks to ``out`` as CSV records or a JSON list, chunk by chunk."""
+    """Stream sampled chunks to ``out`` as CSV records or a JSON list, one write per chunk."""
     if fmt == "csv":
-        head, item, tails, sep, foot = RECORD_HEADER + "\n", "", _CSV_TAILS, "", ""
+        head, item, tails, foot = RECORD_HEADER + "\n", "", _CSV_TAILS, ""
     elif fmt == "json":
-        head, item, tails, sep, foot = "[", _JSON_HEAD, _JSON_TAILS, ",", "\n]\n"
+        head, item, tails, foot = "[", "," + _JSON_HEAD, _JSON_TAILS, "\n]\n"
     else:
         raise EstimatorError(f"unknown record format {fmt!r}")
+    tail_table = _byte_table(tails)
     out.write(head)
     start = 0
     for chunk in chunks:
-        text = sep.join(item + str(start + i) + tails[code]
-                        for i, code in enumerate(chunk.tolist()))
-        out.write((sep if start else "") + text)
+        text = _format_chunk(chunk, start, item, tail_table)
+        # each JSON record opens with its "," separator, except the first
+        out.write(text[1:] if item and not start else text)
         start += len(chunk)
     out.write(foot)
 

@@ -272,6 +272,20 @@ def test_mc_run_bytes_are_pinned(tmp_path):
         "30d76c6f0c6860c5c0c407c34439b7f0cf287e9c2d609cff6f384061dfa51030")
 
 
+def test_mc_run_json_bytes_are_pinned(tmp_path):
+    # sha256 of these records as the per-trial string writer wrote them,
+    # before each chunk's text was assembled as numpy bytes
+    cfg = _write(tmp_path, "counting.cfg", COUNTING_CFG)
+    out = tmp_path / "mc.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = _run(["mc-run", "--config", cfg, "--trials", "10000", "--seed", "9",
+                     "--format", "json", "--out", str(out)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e4452ee52e89824e4e49e2aac2b3dcc995467df99762b70ab12adc06f8c546b3")
+
+
 # The lossy cutoff-4 operating point at a temperature whose dark-fringe
 # g2 (0.980158287732) carries about 4e-12 of the read engine's rounding.
 LOSSY_C4_CFG = ("optical_cutoff = 4\nmagnon_cutoff = 4\npropagation_transmissivity_a = 0.8\n"

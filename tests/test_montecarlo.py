@@ -4,12 +4,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from optomagnon.channels import DetectorSpec
 from optomagnon.montecarlo import (
+    _CSV_TAILS,
+    _JSON_HEAD,
+    _JSON_TAILS,
+    CHUNK_TRIALS,
     CLICK_CATEGORIES,
     ClickRecord,
     EstimateWithError,
     EstimatorError,
+    _byte_table,
+    _draw_chunks,
+    _format_chunk,
+    _outcome_probabilities,
     click_fractions,
     count_table,
     estimate_g2,
@@ -210,12 +221,79 @@ def test_streamed_records_match_record_serialization():
     import json
 
     cfg = _boosted_config()
-    records = sample_trials(cfg, 5000, seed=4)
-    csv_out, json_out = io.StringIO(), io.StringIO()
-    write_records(sample_chunks(cfg, 5000, seed=4), csv_out, "csv")
-    write_records(sample_chunks(cfg, 5000, seed=4), json_out, "json")
-    assert csv_out.getvalue() == records_to_csv(records)
-    assert json_out.getvalue() == json.dumps(
-        [dataclasses.asdict(r) for r in records], indent=2) + "\n"
+    # every power-of-ten edge of the index width and every chunk edge
+    for n in (1, 9, 10, 11, 4095, 4096, 4097, 9999, 10000, 10001, 100001):
+        records = sample_trials(cfg, n, seed=4)
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        write_records(sample_chunks(cfg, n, seed=4), csv_out, "csv")
+        write_records(sample_chunks(cfg, n, seed=4), json_out, "json")
+        assert csv_out.getvalue() == records_to_csv(records)
+        assert json_out.getvalue() == json.dumps(
+            [dataclasses.asdict(r) for r in records], indent=2) + "\n"
     with pytest.raises(EstimatorError):
         sample_chunks(cfg, 0)
+
+
+@pytest.mark.parametrize("item, tails", [("", _CSV_TAILS), ("," + _JSON_HEAD, _JSON_TAILS)],
+                         ids=["csv", "json"])
+@given(codes=st.lists(st.integers(0, 15), max_size=40),
+       k=st.integers(0, 12), below=st.integers(0, 30))
+def test_chunk_formatter_matches_per_trial_strings(item, tails, codes, k, below):
+    # index runs that cross a power of ten, up to 10**12
+    start = max(10**k - below, 0)
+    text = _format_chunk(np.array(codes, dtype=np.int64), start, item, _byte_table(tails))
+    assert text == "".join(f"{item}{start + i}{tails[code]}" for i, code in enumerate(codes))
+
+
+_LOSSY_C4 = dict(optical_cutoff=4, magnon_cutoff=4, propagation_transmissivity_a=0.8,
+                 propagation_transmissivity_b=0.8,
+                 detector=DetectorSpec(efficiency=0.6, dark_click_probability=1e-4),
+                 magnon_decay_delay_ratio=0.1)
+
+
+def _choice_chunks(p, n_trials, entropy):
+    for k, start in enumerate(range(0, n_trials, CHUNK_TRIALS)):
+        rng = np.random.default_rng(np.random.SeedSequence([*entropy, k]))
+        yield rng.choice(len(p), size=min(CHUNK_TRIALS, n_trials - start), p=p)
+
+
+def _assert_draws_match_choice(p, n_trials, entropy):
+    ours = list(_draw_chunks(p, n_trials, entropy))
+    theirs = list(_choice_chunks(p, n_trials, entropy))
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("config", [ProtocolConfig(), _boosted_config(),
+                                    ProtocolConfig(**_LOSSY_C4)],
+                         ids=["reference", "counting", "lossy-c4"])
+def test_chunk_draws_match_rng_choice_at_the_operating_points(config):
+    # 200 full chunks and a short last one
+    p = _outcome_probabilities(exact_joint_statistics(config))
+    _assert_draws_match_choice(p, 200 * CHUNK_TRIALS + 123, [31, 2])
+
+
+@pytest.mark.parametrize("p", [
+    [0.5, 0.0, 0.25, 0.0] + [0.0] * 11 + [0.25],
+    [0.0, 0.5, 0.5] + [0.0] * 13,
+    [0.0] * 7 + [1.0] + [0.0] * 8,
+    [1.0] + [0.0] * 15,
+], ids=["zeros", "first-zero", "one-hot", "one-hot-first"])
+def test_chunk_draws_match_rng_choice_on_hand_made_distributions(p):
+    _assert_draws_match_choice(np.array(p), 5 * CHUNK_TRIALS + 7, [5])
+
+
+@pytest.mark.parametrize("p", [
+    [1.2, -0.2] + [0.0] * 14,
+    [math.nan] + [0.0] * 15,
+    [0.5] * 16,
+    np.full((4, 4), 1 / 16),
+], ids=["negative", "nan", "not-normalised", "two-dimensional"])
+def test_bad_distributions_raise_before_any_draw(p):
+    # the same checks rng.choice makes, once, on the call
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(16, size=1, p=p)
+    with pytest.raises(ValueError):
+        _draw_chunks(p, 10, [1])
