@@ -69,7 +69,6 @@ from .montecarlo import (
     count_table,
     estimate_g2,
     estimate_witness,
-    records_from_csv,
     records_to_csv,
     sample_chunks,
     sample_counts,

@@ -27,6 +27,7 @@ from .fock import (
     FockSpaceError,
     ModeOperator,
     ModeRegistry,
+    _digits,
     embed_mode_pair,
     embed_single_mode,
     partial_trace,
@@ -125,22 +126,23 @@ class DetectorSpec:
         return (1.0 - self.efficiency) ** ns * (1.0 - self.dark_click_probability)
 
 
-def _pair_ladders(da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_unitary(registry: ModeRegistry, mode_a: str, mode_b: str, generator) -> ModeOperator:
+    """exp(``generator(a, b)``) of the two modes' truncated ladder matrices, lifted to the registry."""
+    da = registry.cutoff_of(mode_a) + 1
+    db = registry.cutoff_of(mode_b) + 1
     a = np.kron(single_mode_annihilation(da - 1), np.eye(db))
     b = np.kron(np.eye(da), single_mode_annihilation(db - 1))
-    return a, b
+    return embed_mode_pair(registry, mode_a, mode_b, scipy.linalg.expm(generator(a, b)))
 
 
 def beamsplitter_unitary(spec: BeamsplitterSpec, registry: ModeRegistry) -> ModeOperator:
     """Photon-number-conserving two-mode mixing unitary."""
     if spec.mode_a == spec.mode_b:
         raise ChannelError("beamsplitter needs two distinct modes")
-    da = registry.cutoff_of(spec.mode_a) + 1
-    db = registry.cutoff_of(spec.mode_b) + 1
-    a, b = _pair_ladders(da, db)
     phase = np.exp(1j * spec.relative_phase)
-    gen = spec.mixing_angle * (phase * a.conj().T @ b - np.conj(phase) * a @ b.conj().T)
-    return embed_mode_pair(registry, spec.mode_a, spec.mode_b, scipy.linalg.expm(gen))
+    return _pair_unitary(
+        registry, spec.mode_a, spec.mode_b,
+        lambda a, b: spec.mixing_angle * (phase * a.conj().T @ b - np.conj(phase) * a @ b.conj().T))
 
 
 def squeezer_vacuum_tail(spec: SqueezerSpec, registry: ModeRegistry) -> float:
@@ -161,21 +163,15 @@ def two_mode_squeezer_unitary(spec: SqueezerSpec, registry: ModeRegistry) -> Mod
         raise TruncationError(
             f"squeezer tail {tail:.3e} exceeds bound {SQUEEZER_TAIL_BOUND:.3e}; raise cutoffs or lower r"
         )
-    da = registry.cutoff_of(spec.optical_mode) + 1
-    db = registry.cutoff_of(spec.magnon_mode) + 1
-    a, m = _pair_ladders(da, db)
     r = spec.squeeze_parameter
-    gen = r * (a.conj().T @ m.conj().T - a @ m)
-    return embed_mode_pair(registry, spec.optical_mode, spec.magnon_mode, scipy.linalg.expm(gen))
+    return _pair_unitary(registry, spec.optical_mode, spec.magnon_mode,
+                         lambda a, m: r * (a.conj().T @ m.conj().T - a @ m))
 
 
 def swap_coupler_unitary(spec: SwapSpec, registry: ModeRegistry) -> ModeOperator:
     """Beamsplitter-type coupling exp[-i theta (a m+ + a+ m)] between modes."""
-    da = registry.cutoff_of(spec.optical_mode) + 1
-    db = registry.cutoff_of(spec.magnon_mode) + 1
-    a, m = _pair_ladders(da, db)
-    gen = -1j * spec.swap_angle * (a @ m.conj().T + a.conj().T @ m)
-    return embed_mode_pair(registry, spec.optical_mode, spec.magnon_mode, scipy.linalg.expm(gen))
+    return _pair_unitary(registry, spec.optical_mode, spec.magnon_mode,
+                         lambda a, m: -1j * spec.swap_angle * (a @ m.conj().T + a.conj().T @ m))
 
 
 def phase_shift_unitary(mode: str, angle: float, registry: ModeRegistry) -> ModeOperator:
@@ -274,13 +270,8 @@ class ClickOutcome(NamedTuple):
 
 def click_povm_diagonals(rho: DensityOperator, mode: str, spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Full-space diagonals of the no-click and click POVM elements."""
-    registry = rho.registry
-    axis = registry.axis_of(mode)
-    stride = registry.strides[axis]
-    d = registry.dims[axis]
-    cols = np.arange(registry.dimension)
-    n = (cols // stride) % d
-    no_click = spec.no_click_weights(d - 1)[n]
+    (n,) = _digits(rho.registry, [mode])
+    no_click = spec.no_click_weights(rho.registry.cutoff_of(mode))[n]
     return no_click, 1.0 - no_click
 
 

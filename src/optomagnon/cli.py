@@ -11,8 +11,10 @@ Every command is deterministic given (config file, seed): reruns produce
 identical bytes.  ``--workers`` is accepted and changes nothing.  Each
 command builds the exact engine once and lifts each distinct stage operator
 once, so the points of a sweep reuse the lifts; commands share none.
-Exit codes: 0 success, 2 config parse error, 3 domain error, 4 runtime
-error, 5 oracle-compare failure.
+Config keys and their types are read off ``ProtocolConfig`` (``detector.*``
+for its detector), and a key given twice is a parse error.
+Exit codes: 0 success, 2 config parse error, 3 domain error (also an
+``--out`` that cannot be opened), 4 runtime error, 5 oracle-compare failure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import re
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,9 +35,11 @@ from . import montecarlo
 from .channels import DetectorSpec
 from .fock import FockSpaceError, _lift, fidelity_with_pure
 from .protocol import (
+    WITNESS_DIVERGENCE_EPSILON,
     HeraldError,
     ProtocolConfig,
     ProtocolError,
+    WitnessPoint,
     ZeroIntensityError,
     closed_form_fidelity,
     entangle_stage,
@@ -75,22 +79,22 @@ class ConfigDomainError(Exception):
     """A config field name or value is invalid; names the offending field."""
 
 
-_FLOAT_FIELDS = {
-    "pulse_mean_photons", "stokes_probability", "stokes_probability_b",
-    "magnon_frequency_hz", "temperature_k", "nbar_override",
-    "propagation_transmissivity_a", "propagation_transmissivity_b",
-    "read_phase_rad", "read_swap_angle_rad", "magnon_decay_delay_ratio",
-    "herald_floor", "witness_divergence_epsilon",
+# Config key -> value type, read off the ProtocolConfig and DetectorSpec annotations:
+# Optional[float] is float, and the detector's fields are detector.* keys.
+_FIELD_TYPES = {
+    **{name: get_args(hint)[0] if get_origin(hint) is Union else hint
+       for name, hint in get_type_hints(ProtocolConfig).items() if hint is not DetectorSpec},
+    **{f"detector.{name}": hint for name, hint in get_type_hints(DetectorSpec).items()},
 }
-_INT_FIELDS = {"herald_detector_index", "optical_cutoff", "magnon_cutoff", "rng_seed"}
-_STR_FIELDS = {"thermal_model"}
-_DETECTOR_FIELDS = {"detector.efficiency", "detector.dark_click_probability"}
+# the real-valued scalar fields, the ones a --sweep may name
+_FLOAT_FIELDS = frozenset(key for key, kind in _FIELD_TYPES.items() if kind is float and "." not in key)
 
 
 def parse_config_text(text: str) -> ProtocolConfig:
     """Parse flat ``key = value`` lines with # comments into a config."""
     kwargs: dict = {}
     detector_kwargs: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,19 +104,21 @@ def parse_config_text(text: str) -> ProtocolConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigParseError(f"line {lineno}: empty key or value in {raw!r}")
+        if key in first_line:
+            raise ConfigParseError(
+                f"line {lineno}: key {key!r} repeated (first set on line {first_line[key]})")
+        first_line[key] = lineno
+        kind = _FIELD_TYPES.get(key)
+        if kind is None:
+            raise ConfigDomainError(f"unknown config field {key!r} (line {lineno})")
         try:
-            if key in _DETECTOR_FIELDS:
-                detector_kwargs[key.split(".", 1)[1]] = float(value)
-            elif key in _FLOAT_FIELDS:
-                kwargs[key] = float(value)
-            elif key in _INT_FIELDS:
-                kwargs[key] = int(value)
-            elif key in _STR_FIELDS:
-                kwargs[key] = value
-            else:
-                raise ConfigDomainError(f"unknown config field {key!r} (line {lineno})")
+            parsed = kind(value)
         except ValueError as exc:
             raise ConfigDomainError(f"field {key!r}: bad value {value!r} (line {lineno})") from exc
+        if key.startswith("detector."):
+            detector_kwargs[key.split(".", 1)[1]] = parsed
+        else:
+            kwargs[key] = parsed
     if detector_kwargs:
         try:
             kwargs["detector"] = DetectorSpec(**detector_kwargs)
@@ -248,8 +254,13 @@ def _witness_columns(with_mc: bool) -> tuple[str, ...]:
     return columns
 
 
+def _witness_row(point: WitnessPoint) -> list:
+    """The exact columns of one witness point, in ``_witness_columns`` order."""
+    return [point.delta_phi, point.stokes_detector, point.g2_a1, point.g2_a2, point.r_m, point.divergent]
+
+
 def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int,
-                      stokes_detector: int, trials: int, seed: Optional[int]) -> None:
+                      stokes_detector: int, trials: int) -> None:
     """Exact witness curve; MC companion columns when trials > 0.
 
     Each phase's exact statistics come from one engine and feed both the
@@ -257,15 +268,12 @@ def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, grid_points
     estimate (a zero marginal) leaves its MC cells empty.
     """
     phase_stats = exact_phase_statistics(config, _phase_grid(grid_points))
-    epsilon = config.witness_divergence_epsilon
-    points = [stats.witness_point(stokes_detector, epsilon) for stats in phase_stats]
+    points = [stats.witness_point(stokes_detector) for stats in phase_stats]
     rows = []
     for k, (stats, point) in enumerate(zip(phase_stats, points)):
-        row = [point.delta_phi, point.stokes_detector, point.g2_a1, point.g2_a2,
-               point.r_m, point.divergent]
+        row = _witness_row(point)
         if trials > 0:
-            counts = montecarlo.sample_counts(config, trials, seed=seed, stream_tags=(k,),
-                                              statistics=stats)
+            counts = montecarlo.sample_counts(config, trials, stream_tags=(k,), statistics=stats)
             try:
                 mc = montecarlo.estimate_witness({point.delta_phi: counts}, stokes_detector)[0]
             except montecarlo.EstimatorError:
@@ -279,23 +287,16 @@ def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, grid_points
 
 def run_baseline(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int,
                  stokes_detector: int, baseline: str) -> None:
-    grid = _phase_grid(grid_points)
-    points = separable_baseline(config, grid, stokes_detector, baseline=baseline)
-    rows = [
-        (p.delta_phi, p.stokes_detector, p.g2_a1, p.g2_a2, p.r_m, p.divergent)
-        for p in points
-    ]
-    write_table(_witness_columns(False), rows, fmt, out)
+    points = separable_baseline(config, _phase_grid(grid_points), stokes_detector, baseline=baseline)
+    write_table(_witness_columns(False), [_witness_row(p) for p in points], fmt, out)
 
 
-def run_mc_run(config: ProtocolConfig, fmt: str, out: TextIO, trials: int,
-               seed: Optional[int]) -> None:
+def run_mc_run(config: ProtocolConfig, fmt: str, out: TextIO, trials: int) -> None:
     """Sampled per-trial records, streamed to ``out`` chunk by chunk."""
-    montecarlo.write_records(montecarlo.sample_chunks(config, trials, seed=seed), out, fmt)
+    montecarlo.write_records(montecarlo.sample_chunks(config, trials), out, fmt)
 
 
-def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: int,
-                       seed: Optional[int]) -> bool:
+def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: int) -> bool:
     """Compare MC estimates against exact engine values; True when all pass.
 
     Meaningful comparisons need on the order of 10^3 trials or more; fewer
@@ -306,7 +307,7 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
         raise ConfigDomainError("oracle-compare needs --trials >= 1")
     stats = exact_joint_statistics(config)
     table = stats.click_pattern_probabilities()
-    counts = montecarlo.sample_counts(config, trials, seed=seed, statistics=stats)
+    counts = montecarlo.sample_counts(config, trials, statistics=stats)
     fractions = montecarlo.click_fractions(counts)
 
     rows = []
@@ -337,7 +338,7 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
                      bool(abs(est.value - exact) <= ORACLE_SIGMAS * sigma)))
 
     exact_rm, exact_div = witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1),
-                                        config.witness_divergence_epsilon)
+                                        WITNESS_DIVERGENCE_EPSILON)
     try:
         mc_point = montecarlo.estimate_witness(
             {config.read_phase_rad: counts}, stokes_detector=1)[0]
@@ -405,7 +406,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             config = replace(config, rng_seed=args.seed)
 
-        sink = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
+        try:
+            sink = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
+        except OSError as exc:
+            raise ConfigDomainError(f"cannot open --out {args.out!r}: {exc}") from exc
         try:
             if args.command == "fidelity-sweep":
                 if not args.sweep:
@@ -413,16 +417,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 run_fidelity_sweep(config, SweepSpec.parse(args.sweep), args.format, sink)
             elif args.command == "witness-sweep":
                 run_witness_sweep(config, args.format, sink, args.grid_points,
-                                  args.detector, args.trials, args.seed)
+                                  args.detector, args.trials)
             elif args.command == "baseline":
                 run_baseline(config, args.format, sink, args.grid_points,
                              args.detector, args.baseline)
             elif args.command == "mc-run":
                 if args.trials < 1:
                     raise ConfigDomainError("mc-run requires --trials >= 1")
-                run_mc_run(config, args.format, sink, args.trials, args.seed)
+                run_mc_run(config, args.format, sink, args.trials)
             elif args.command == "oracle-compare":
-                if not run_oracle_compare(config, args.format, sink, args.trials, args.seed):
+                if not run_oracle_compare(config, args.format, sink, args.trials):
                     return EXIT_ORACLE_FAILURE
         finally:
             if args.out:

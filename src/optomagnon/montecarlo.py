@@ -22,7 +22,6 @@ records of one (seed, tags, n_trials) hold the same trials.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -244,18 +243,13 @@ def estimate_witness(counts_by_phase: Mapping[float, np.ndarray],
         g1, g2 = est1.value, est2.value
         s1, s2 = est1.standard_error, est2.standard_error
         diff = g1 - g2
-        diff_sigma = math.hypot(s1, s2)
-        if abs(diff) < 2.0 * diff_sigma:
-            points.append(WitnessPoint(
-                delta_phi=float(delta_phi), stokes_detector=stokes_detector,
-                g2_a1=g1, g2_a2=g2, r_m=math.inf, divergent=True,
-                g2_a1_error=s1, g2_a2_error=s2, r_m_error=None,
-                n_trials=est1.n_trials))
-            continue
-        value, divergent = witness_ratio(g1, g2, epsilon=0.0)
-        d_g1 = 4.0 / diff**2 - 8.0 * (g1 + g2 - 1.0) / diff**3
-        d_g2 = 4.0 / diff**2 + 8.0 * (g1 + g2 - 1.0) / diff**3
-        sigma = math.sqrt((d_g1 * s1) ** 2 + (d_g2 * s2) ** 2)
+        if abs(diff) < 2.0 * math.hypot(s1, s2):
+            value, divergent, sigma = math.inf, True, None
+        else:
+            value, divergent = witness_ratio(g1, g2, epsilon=0.0)
+            d_g1 = 4.0 / diff**2 - 8.0 * (g1 + g2 - 1.0) / diff**3
+            d_g2 = 4.0 / diff**2 + 8.0 * (g1 + g2 - 1.0) / diff**3
+            sigma = math.sqrt((d_g1 * s1) ** 2 + (d_g2 * s2) ** 2)
         points.append(WitnessPoint(
             delta_phi=float(delta_phi), stokes_detector=stokes_detector,
             g2_a1=g1, g2_a2=g2, r_m=value, divergent=divergent,
@@ -334,13 +328,3 @@ def write_records(chunks: Iterable[np.ndarray], out: TextIO, fmt: str = "csv") -
         start += len(chunk)
     out.write(foot)
 
-
-def records_from_csv(text: str) -> list[ClickRecord]:
-    lines = [line for line in io.StringIO(text) if line.strip()]
-    if not lines or lines[0].strip() != RECORD_HEADER:
-        raise EstimatorError(f"expected header {RECORD_HEADER!r}")
-    records = []
-    for line in lines[1:]:
-        idx, stokes, anti = line.strip().split(",")
-        records.append(ClickRecord(int(idx), stokes, anti))
-    return records

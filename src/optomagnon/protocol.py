@@ -96,13 +96,19 @@ REGIME_LIMIT = 0.1
 # 210 / 210 MB at 7/7 (2-core Xeon VM, 1 BLAS thread).
 PIPELINE_MAX_DIMENSION = 8192
 
+# Herald probabilities below this are treated as no herald (HeraldError).
+HERALD_FLOOR = 1e-12
+
+# |g2_A1 - g2_A2| below this makes the exact witness ratio divergent (+inf, flagged).
+WITNESS_DIVERGENCE_EPSILON = 1e-8
+
 
 class ProtocolError(FockSpaceError):
     """Invalid protocol configuration or impossible conditioning."""
 
 
 class HeraldError(ProtocolError):
-    """Herald probability below the configured floor: nothing to condition on."""
+    """Herald probability below HERALD_FLOOR: nothing to condition on."""
 
 
 class ZeroIntensityError(ProtocolError):
@@ -119,10 +125,10 @@ def mean_thermal_occupation(frequency_hz: float, temperature_k: float) -> float:
         raise ProtocolError(f"frequency must be positive, got {frequency_hz!r}")
     if temperature_k <= 0:
         raise ProtocolError(f"temperature must be positive, got {temperature_k!r}")
-    x = scipy.constants.h * frequency_hz / (scipy.constants.k * temperature_k)
     try:
+        x = scipy.constants.h * frequency_hz / (scipy.constants.k * temperature_k)
         return 1.0 / math.expm1(x)
-    except OverflowError:  # x > ~709: the occupation exp(-x) is below 1e-308
+    except (ZeroDivisionError, OverflowError):  # k T underflows to 0 or x > ~709: exp(-x) < 1e-308
         return 0.0
 
 
@@ -152,8 +158,6 @@ class ProtocolConfig:
     rng_seed: int = 12345
     thermal_model: str = "mixture_overlay"  # or "squeezed_thermal"
     magnon_decay_delay_ratio: float = 0.0  # (pulse delay)/(magnon lifetime)
-    herald_floor: float = 1e-12
-    witness_divergence_epsilon: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):
@@ -198,9 +202,6 @@ class ProtocolConfig:
             raise ProtocolError("magnon_decay_delay_ratio must be >= 0")
         if self.rng_seed < 0:
             raise ProtocolError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
-        for name in ("herald_floor", "witness_divergence_epsilon"):
-            if getattr(self, name) < 0:
-                raise ProtocolError(f"{name} must be >= 0")
         if self.pulse_mean_photons > REGIME_LIMIT:
             warnings.warn(
                 f"pulse_mean_photons = {self.pulse_mean_photons} is outside the weak-pulse "
@@ -267,15 +268,21 @@ class WitnessPoint:
     n_trials: Optional[int] = None
 
 
-def ideal_target_state(sign: int, magnon_cutoff: int = 3) -> MultiModeState:
-    """Path-entangled single-magnon state (|01> + sign |10>)/sqrt(2)."""
+def _superposition(lo: tuple[int, int], hi: tuple[int, int], sign: int,
+                   magnon_cutoff: int) -> MultiModeState:
+    """Two-magnon state (|lo> + sign |hi>)/sqrt(2)."""
     if sign not in (+1, -1):
         raise ProtocolError("sign must be +1 or -1")
     registry = ModeRegistry.of((MAGNON_A, magnon_cutoff), (MAGNON_B, magnon_cutoff))
     amps = np.zeros(registry.dimension, dtype=complex)
-    amps[registry.index_of((0, 1))] = 1.0 / math.sqrt(2.0)
-    amps[registry.index_of((1, 0))] = sign / math.sqrt(2.0)
+    amps[registry.index_of(lo)] = 1.0 / math.sqrt(2.0)
+    amps[registry.index_of(hi)] = sign / math.sqrt(2.0)
     return MultiModeState(registry, amps)
+
+
+def ideal_target_state(sign: int, magnon_cutoff: int = 3) -> MultiModeState:
+    """Path-entangled single-magnon state (|01> + sign |10>)/sqrt(2)."""
+    return _superposition((0, 1), (1, 0), sign, magnon_cutoff)
 
 
 def closed_form_fidelity(thermal_ratio: float) -> float:
@@ -293,27 +300,18 @@ def thermal_final_state(thermal_ratio: float, sign: int, magnon_cutoff: int = 3)
     s = thermal_ratio
     if not 0.0 <= s < 1.0:
         raise ProtocolError(f"thermal ratio {s!r} outside [0, 1)")
-    if sign not in (+1, -1):
-        raise ProtocolError("sign must be +1 or -1")
     if magnon_cutoff < 2:
         raise ProtocolError("magnon_cutoff must be >= 2 to hold the contaminated sectors")
-    registry = ModeRegistry.of((MAGNON_A, magnon_cutoff), (MAGNON_B, magnon_cutoff))
-
-    def superposition(lo: tuple[int, int], hi: tuple[int, int]) -> np.ndarray:
-        amps = np.zeros(registry.dimension, dtype=complex)
-        amps[registry.index_of(lo)] = 1.0 / math.sqrt(2.0)
-        amps[registry.index_of(hi)] = sign / math.sqrt(2.0)
-        return amps
-
     components = [
-        (1.0, superposition((0, 1), (1, 0))),
-        (s, superposition((0, 2), (1, 1))),
-        (s, superposition((1, 1), (2, 0))),
-        (s * s, superposition((1, 2), (2, 1))),
+        (1.0, _superposition((0, 1), (1, 0), sign, magnon_cutoff)),
+        (s, _superposition((0, 2), (1, 1), sign, magnon_cutoff)),
+        (s, _superposition((1, 1), (2, 0), sign, magnon_cutoff)),
+        (s * s, _superposition((1, 2), (2, 1), sign, magnon_cutoff)),
     ]
+    registry = components[0][1].registry
     mat = np.zeros((registry.dimension, registry.dimension), dtype=complex)
-    for weight, amps in components:
-        mat += weight * np.outer(amps, amps.conj())
+    for weight, state in components:
+        mat += weight * np.outer(state.amplitudes, state.amplitudes.conj())
     return DensityOperator(registry, mat / np.trace(mat))
 
 
@@ -325,13 +323,12 @@ def thermal_final_state(thermal_ratio: float, sign: int, magnon_cutoff: int = 3)
 class EntangleFrontState:
     """Unconditioned optical/magnon state just before the herald detectors, on its Stokes sectors.
 
-    ``blocks[k]`` is the (magnon A, magnon B) block of Stokes occupations ``sectors[k] =
-    (s1, s2)`` (detector-1 port, detector-2 port).  The Stokes-off-diagonal coherences are
-    dropped: the herald's partial trace and every trace read only Stokes-diagonal entries.
+    ``blocks[s1, s2]`` is the (magnon A, magnon B) block of Stokes occupations (s1, s2)
+    (detector-1 port, detector-2 port).  The Stokes-off-diagonal coherences are dropped:
+    the herald's partial trace and every trace read only Stokes-diagonal entries.
     ``truncation_estimate`` collects squeezer tails, thermal leakage and any trace drift.
     """
 
-    sectors: list[tuple[int, int]]
     blocks: np.ndarray
     truncation_estimate: float
 
@@ -420,11 +417,11 @@ def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     support, rho = _support_step(
         beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry).matrix, support, rho)
 
-    blocks = np.zeros(((co + 1) ** 2, d_m, d_m), dtype=complex)
+    blocks = np.zeros((co + 1, co + 1, d_m, d_m), dtype=complex)
     sector, magnons = np.divmod(support, d_m)
     for k in np.unique(sector):
         at = np.flatnonzero(sector == k)
-        blocks[k][np.ix_(magnons[at], magnons[at])] = rho[np.ix_(at, at)]
+        blocks[divmod(k, co + 1)][np.ix_(magnons[at], magnons[at])] = rho[np.ix_(at, at)]
 
     if nbar > 0.0 and not seeded_thermal:
         blocks, leak = _thermal_overlay(blocks, nbar, config.magnon_registry().dims)
@@ -438,8 +435,7 @@ def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     truncation += drift
     if drift > 0:
         blocks = blocks / trace
-    sectors = [(s1, s2) for s1 in range(co + 1) for s2 in range(co + 1)]
-    return EntangleFrontState(sectors=sectors, blocks=blocks, truncation_estimate=truncation)
+    return EntangleFrontState(blocks=blocks, truncation_estimate=truncation)
 
 
 def _herald_port(stack: np.ndarray, axis: int, weights: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
@@ -461,21 +457,19 @@ def entangle_stage(config: ProtocolConfig) -> HeraldedState:
     detector clicks while the other stays silent (double clicks are discarded), and the
     consumed optical modes are traced out."""
     front = entangle_front_state(config)
-    co = config.optical_cutoff
-    blocks = front.blocks.reshape(co + 1, co + 1, *front.blocks.shape[1:])
-    no_click = config.detector.no_click_weights(co)
+    no_click = config.detector.no_click_weights(config.optical_cutoff)
 
-    p_click, rho_click = _herald_port(blocks, config.herald_detector_index - 1, 1.0 - no_click)
-    if rho_click is None or p_click < config.herald_floor:
+    p_click, rho_click = _herald_port(front.blocks, config.herald_detector_index - 1, 1.0 - no_click)
+    if rho_click is None or p_click < HERALD_FLOOR:
         raise HeraldError(
-            f"herald probability {p_click:.3e} below floor {config.herald_floor:.1e}; "
+            f"herald probability {p_click:.3e} below floor {HERALD_FLOOR:.1e}; "
             f"no pulse or no scattering to condition on")
     # the silent port is the one Stokes axis left
     herald_probability = p_click * (1.0 - _herald_port(rho_click, 0, 1.0 - no_click)[0])
     _, rho_magnons = _herald_port(rho_click, 0, no_click)
-    if rho_magnons is None or herald_probability < config.herald_floor:
+    if rho_magnons is None or herald_probability < HERALD_FLOOR:
         raise HeraldError(
-            f"herald probability {herald_probability:.3e} below floor {config.herald_floor:.1e}")
+            f"herald probability {herald_probability:.3e} below floor {HERALD_FLOOR:.1e}")
 
     return HeraldedState(
         rho_magnons=DensityOperator(config.magnon_registry(), rho_magnons),
@@ -559,13 +553,13 @@ class JointStatistics:
             raise ZeroIntensityError("a detector click rate vanished; nothing to correlate")
         return p_joint / (p_s * p_a)
 
-    def witness_point(self, stokes_detector: int, epsilon: float) -> WitnessPoint:
+    def witness_point(self, stokes_detector: int) -> WitnessPoint:
         """Exact witness at this read phase from the pre-detection moments."""
         if stokes_detector not in (1, 2):
             raise ProtocolError("stokes_detector must be 1 or 2")
         g2_a1 = self.g2_number(1, stokes_detector)
         g2_a2 = self.g2_number(2, stokes_detector)
-        value, divergent = witness_ratio(g2_a1, g2_a2, epsilon)
+        value, divergent = witness_ratio(g2_a1, g2_a2, WITNESS_DIVERGENCE_EPSILON)
         return WitnessPoint(
             delta_phi=self.delta_phi, stokes_detector=stokes_detector,
             g2_a1=g2_a1, g2_a2=g2_a2, r_m=value, divergent=divergent)
@@ -588,8 +582,9 @@ class _ReadOptics:
     losses run as whole Kraus sums on each level, and only then are its
     anti-Stokes-photon-number-shell-diagonal blocks gathered: the closing
     beamsplitter conserves the photon number and the detectors read only its
-    output diagonals.  Stage operators are row/column slices of the embedded
-    full-space CSR matrices, so kept elements match the full sandwich bit for bit.
+    output diagonals.  Stage operators are row/column slices of CSR matrices
+    embedded on the modes the stage touches, so kept elements match the
+    full-space sandwich bit for bit.
     """
 
     def __init__(self, config: ProtocolConfig, rho: np.ndarray):
@@ -607,14 +602,13 @@ class _ReadOptics:
             survival = math.exp(-config.magnon_decay_delay_ratio)
             for label in (MAGNON_A, MAGNON_B):
                 rho = loss_kraus_sum(rho, config.magnon_registry(), label, survival)
-        d = (co + 1) ** 2
-        full = ModeRegistry.of(
-            (MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
-        # swap A: anti-Stokes-vacuum columns in; out, per magnon-A level, the
-        # rows of that level with anti-Stokes B still empty
-        swap_a = swap_coupler_unitary(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), full).matrix[:, ::d]
-        rows = (cm + 1) * d
-        rho = np.stack([sandwich(swap_a[a * rows:(a + 1) * rows:co + 1], rho)
+        # swap A on (magnon A, magnon B, anti-Stokes A): anti-Stokes-vacuum
+        # columns in; out, one magnon-A level of rows at a time
+        arm_a = ModeRegistry.of((MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co))
+        swap_a = swap_coupler_unitary(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), arm_a).matrix
+        swap_a = swap_a[:, ::co + 1]
+        rows = (cm + 1) * (co + 1)
+        rho = np.stack([sandwich(swap_a[a * rows:(a + 1) * rows], rho)
                         for a in range(cm + 1)], axis=1)
         # swap B on each magnon-A diagonal block: anti-Stokes-B-vacuum columns
         # in; out, one magnon-B level of rows at a time, each level taken
@@ -624,6 +618,7 @@ class _ReadOptics:
         swap_b = swap_b[:, ::co + 1]
         self.fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex)
                       for idx in self.shells]
+        d = self.antistokes.dimension
         for b in range(cm + 1):
             level = sandwich(swap_b[b * d:(b + 1) * d], rho)
             for label, eta in ((ANTISTOKES_A, config.propagation_transmissivity_a),
@@ -641,14 +636,15 @@ class _ReadOptics:
 
 def _stokes_sector_blocks(front: EntangleFrontState) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Occupied Stokes sectors (s1, s2) and an owning stack of their magnon blocks."""
-    keep = [k for k, block in enumerate(front.blocks) if float(np.trace(block).real) > 1e-18]
-    return [front.sectors[k] for k in keep], front.blocks[keep]
+    sectors = [s for s in np.ndindex(front.blocks.shape[:2])
+               if float(np.trace(front.blocks[s]).real) > 1e-18]
+    return sectors, np.stack([front.blocks[s] for s in sectors])
 
 
 def _phase_statistics(config: ProtocolConfig, phase_grid: Sequence[float],
-                      split) -> list[JointStatistics]:
-    """Detector statistics per read phase of the sector blocks ``split`` takes from the front."""
-    sectors, blocks = split(entangle_front_state(config))
+                      sectors: list[tuple[int, int]], blocks: np.ndarray) -> list[JointStatistics]:
+    """Detector statistics per read phase of the magnon blocks ``blocks[k]`` of Stokes
+    sectors ``sectors[k]``."""
     optics = _ReadOptics(config, blocks)
     co, cm = config.optical_cutoff, config.magnon_cutoff
     out = []
@@ -668,7 +664,9 @@ def exact_phase_statistics(config: ProtocolConfig,
                            phase_grid: Sequence[float]) -> list[JointStatistics]:
     """Exact detector statistics at every read phase of a grid, from one front build;
     the one path from the front state through the read optics to statistics."""
-    return _phase_statistics(config, phase_grid, _stokes_sector_blocks)
+    # the front is dropped once its sector blocks are taken, before the phase loop
+    return _phase_statistics(config, phase_grid,
+                             *_stokes_sector_blocks(entangle_front_state(config)))
 
 
 def exact_joint_statistics(config: ProtocolConfig) -> JointStatistics:
@@ -679,11 +677,10 @@ def exact_joint_statistics(config: ProtocolConfig) -> JointStatistics:
 def witness_exact(config: ProtocolConfig, phase_grid: Sequence[float],
                   stokes_detector: int = 1) -> list[WitnessPoint]:
     """Exact witness curve over the read-phase grid for one Stokes detector."""
-    return [stats.witness_point(stokes_detector, config.witness_divergence_epsilon)
-            for stats in exact_phase_statistics(config, phase_grid)]
+    return [stats.witness_point(stokes_detector) for stats in exact_phase_statistics(config, phase_grid)]
 
 
-SEPARABLE_BASELINES = ("product_thermal", "classical_mixture", "vacuum")
+SEPARABLE_BASELINES = ("product_thermal", "classical_mixture")
 
 
 def separable_baseline(config: ProtocolConfig, phase_grid: Sequence[float],
@@ -695,28 +692,25 @@ def separable_baseline(config: ProtocolConfig, phase_grid: Sequence[float],
     with the magnon modes is severed, which is what makes the replacement
     separable across the Stokes/magnon split as well.
     """
+    co, cm = config.optical_cutoff, config.magnon_cutoff
     registry = config.magnon_registry()
     if baseline == "product_thermal":
-        w = thermal_weights(config.mean_thermal_magnons, config.magnon_cutoff)
+        w = thermal_weights(config.mean_thermal_magnons, cm)
         mat = np.kron(np.diag(w), np.diag(w)).astype(complex)
     elif baseline == "classical_mixture":
         mat = np.zeros((registry.dimension, registry.dimension), dtype=complex)
         mat[registry.index_of((0, 1)), registry.index_of((0, 1))] = 0.5
         mat[registry.index_of((1, 0)), registry.index_of((1, 0))] = 0.5
-    elif baseline == "vacuum":
-        mat = MultiModeState.vacuum(registry).to_density().matrix
     else:
         raise ProtocolError(f"unknown baseline {baseline!r}; choose from {SEPARABLE_BASELINES}")
 
-    def weighted_blocks(front: EntangleFrontState) -> tuple[list[tuple[int, int]], np.ndarray]:
-        # Stokes-sector weights: the front's diagonal summed over the magnon axes
-        co, cm = config.optical_cutoff, config.magnon_cutoff
-        diag = _diagonal(front.blocks).real.copy().reshape(co + 1, co + 1, cm + 1, cm + 1)
-        kept = [(key, float(w)) for key, w in zip(front.sectors, diag.sum(axis=(2, 3)).ravel()) if w > 0.0]
-        return [key for key, _ in kept], np.stack([w * mat for _, w in kept])
-
-    return [stats.witness_point(stokes_detector, config.witness_divergence_epsilon)
-            for stats in _phase_statistics(config, phase_grid, weighted_blocks)]
+    # Stokes-sector weights: the front's diagonal summed over the magnon axes
+    diag = _diagonal(entangle_front_state(config).blocks).real.copy()
+    weights = diag.reshape(co + 1, co + 1, cm + 1, cm + 1).sum(axis=(2, 3))
+    sectors = [s for s in np.ndindex(weights.shape) if weights[s] > 0.0]
+    blocks = np.stack([float(weights[s]) * mat for s in sectors])
+    return [stats.witness_point(stokes_detector)
+            for stats in _phase_statistics(config, phase_grid, sectors, blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -775,5 +769,4 @@ def consistency_check_thermal(config: ProtocolConfig) -> ThermalConsistencyRepor
         fidelity_closed_form=f_closed,
         bound=bound,
         passed=bool(distance <= bound),
-        note="",
     )

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import logging
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from optomagnon import fock
 from optomagnon.cli import (
+    _FIELD_TYPES,
     _FLOAT_FIELDS,
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
@@ -19,6 +22,7 @@ from optomagnon.cli import (
     main,
     parse_config_text,
 )
+from optomagnon.protocol import ProtocolConfig
 
 COUNTING_CFG = ("pulse_mean_photons = 0.1\nstokes_probability = 0.1\n"
                 "read_swap_angle_rad = 1.5707963267948966\n")
@@ -80,6 +84,47 @@ def test_config_parse_error_carries_line_number():
     with pytest.raises(ConfigParseError) as err:
         parse_config_text("pulse_mean_photons = 0.01\nthis line has no equals\n")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("temperature_k = 0.1", "temperature_k = 0.2"),
+    ("detector.efficiency = 0.9", "detector.efficiency = 0.9"),
+    ("thermal_model = mixture_overlay", "thermal_model = squeezed_thermal  # again"),
+])
+def test_repeated_config_key_is_a_parse_error_naming_both_lines(tmp_path, capsys, first, second):
+    key = first.split(" = ")[0]
+    text = f"{first}\n# comment\n{second}\n"
+    with pytest.raises(ConfigParseError) as err:
+        parse_config_text(text)
+    assert str(err.value) == f"line 3: key {key!r} repeated (first set on line 1)"
+    assert _run(["witness-sweep", "--config", _write(tmp_path, "dup.cfg", text)]) \
+        == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"config parse error: {err.value}\n"
+
+
+@pytest.mark.parametrize("key", ["herald_floor", "witness_divergence_epsilon", "detector.gain"])
+def test_keys_outside_the_config_schema_are_unknown_fields(tmp_path, capsys, key):
+    cfg = _write(tmp_path, "unknown.cfg", f"{key} = 1e-8\n")
+    assert _run(["witness-sweep", "--config", cfg]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err == f"domain error: unknown config field {key!r} (line 1)\n"
+
+
+def _readme_config_block():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_config_block_gives_the_default_config():
+    assert parse_config_text(_readme_config_block()) == ProtocolConfig()
+
+
+def test_readme_config_block_names_only_config_fields():
+    keys = re.findall(r"^[#\s]*([\w.]+)\s*=", _readme_config_block(), flags=re.M)
+    assert "nbar_override" in keys  # the commented-out lines are checked too
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_FIELD_TYPES)
 
 
 def test_nbar_override_logs_notice(caplog):
@@ -225,6 +270,20 @@ def test_exit_codes(tmp_path):
     dead = _write(tmp_path, "dead.cfg", "pulse_mean_photons = 0.0\n")
     assert _run(["fidelity-sweep", "--config", dead,
                  "--sweep", "temperature_k:0.1:0.1:1"]) == EXIT_RUNTIME_ERROR
+
+
+@pytest.mark.parametrize("args", [
+    ["fidelity-sweep", "--sweep", "temperature_k:0.1:0.1:1"],
+    ["witness-sweep"], ["baseline"], ["mc-run", "--trials", "10"],
+    ["oracle-compare", "--trials", "10"],
+])
+def test_unopenable_out_is_a_domain_error(tmp_path, capsys, args):
+    out = tmp_path / "missing" / "o.csv"
+    assert _run(args + ["--out", str(out)]) == EXIT_DOMAIN_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: cannot open --out {str(out)!r}: ")
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_oracle_compare_small_run(tmp_path):
@@ -388,7 +447,7 @@ def test_witness_sweep_zero_count_phases_leave_mc_cells_empty(tmp_path):
 
 @pytest.mark.parametrize("line", [
     *(f"{name} = {value}" for name in sorted(_FLOAT_FIELDS) for value in ("nan", "inf")),
-    "herald_floor = -1", "witness_divergence_epsilon = -1",
+    "pulse_mean_photons = -1", "magnon_decay_delay_ratio = -1",
 ])
 def test_non_finite_and_negative_float_fields_exit_with_a_domain_error(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", line + "\n")
@@ -455,7 +514,7 @@ FLAGS_READ = {
     "oracle-compare": {"--trials"},
 }
 FLAG_VALUES = {"--sweep": "temperature_k:0.1:0.1:1", "--trials": "10", "--grid-points": "3",
-               "--detector": "1", "--baseline": "vacuum"}
+               "--detector": "1", "--baseline": "classical_mixture"}
 
 
 @pytest.mark.parametrize("command, flag", [
