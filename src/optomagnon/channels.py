@@ -85,10 +85,6 @@ class SqueezerSpec:
             raise ChannelError(f"pair probability {pair_probability!r} outside [0, 1)")
         return cls(optical_mode, magnon_mode, math.atanh(math.sqrt(pair_probability)))
 
-    @property
-    def pair_probability(self) -> float:
-        return math.tanh(self.squeeze_parameter) ** 2
-
 
 @dataclass(frozen=True)
 class SwapSpec:

@@ -7,12 +7,16 @@ Commands
     mc-run           sampled per-trial click records
     oracle-compare   MC estimators vs exact engine values at 4 sigma
 
-Every command is deterministic given (config file, seed): reruns produce
+``COMMANDS`` maps each command to its runner and the command-specific flags
+it reads; a command given any other of those flags rejects it.  Every
+command is deterministic given (config file, seed): reruns produce
 identical bytes.  ``--workers`` is accepted and changes nothing.  Each
 command builds the exact engine once and lifts each distinct stage operator
 once, so the points of a sweep reuse the lifts; commands share none.
 Config keys and their types are read off ``ProtocolConfig`` (``detector.*``
-for its detector), and a key given twice is a parse error.
+for its detector), and a key given twice is a parse error.  ``--out`` is
+replaced only when the command finishes, so a failing command leaves an
+existing file as it was.
 Exit codes: 0 success, 2 config parse error, 3 domain error (also an
 ``--out`` that cannot be opened), 4 runtime error, 5 oracle-compare failure.
 """
@@ -20,14 +24,17 @@ Exit codes: 0 success, 2 config parse error, 3 domain error (also an
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
+from typing import Iterator, Optional, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,16 +67,6 @@ EXIT_ORACLE_FAILURE = 5
 
 ORACLE_SIGMAS = 4.0  # oracle-compare pass band, in standard errors
 
-# Command-specific flags: default, and the commands that read the flag; any
-# other command given the flag rejects it as a domain error.
-COMMAND_FLAGS = {
-    "sweep": (None, ("fidelity-sweep",)),
-    "trials": (0, ("witness-sweep", "mc-run", "oracle-compare")),
-    "grid_points": (25, ("witness-sweep", "baseline")),
-    "detector": (1, ("witness-sweep", "baseline")),
-    "baseline": ("product_thermal", ("baseline",)),
-}
-
 
 class ConfigParseError(Exception):
     """Config file is not flat key = value text; carries the line number."""
@@ -86,8 +83,6 @@ _FIELD_TYPES = {
        for name, hint in get_type_hints(ProtocolConfig).items() if hint is not DetectorSpec},
     **{f"detector.{name}": hint for name, hint in get_type_hints(DetectorSpec).items()},
 }
-# the real-valued scalar fields, the ones a --sweep may name
-_FLOAT_FIELDS = frozenset(key for key, kind in _FIELD_TYPES.items() if kind is float and "." not in key)
 
 
 def parse_config_text(text: str) -> ProtocolConfig:
@@ -167,8 +162,10 @@ class SweepSpec:
         if len(parts) != 4:
             raise ConfigDomainError(f"sweep must be field:start:stop:count, got {text!r}")
         field, start, stop, count = parts
-        if field not in _FLOAT_FIELDS:
-            raise ConfigDomainError(f"sweep field {field!r} is not a real-valued config field")
+        if field not in ("temperature_k", "nbar_override"):
+            raise ConfigDomainError(
+                "fidelity-sweep sweeps 'temperature_k' or 'nbar_override' "
+                "(for a thermal-ratio sweep use nbar_override = S/(1-S))")
         try:
             start_f, stop_f, count_i = float(start), float(stop), int(count)
         except ValueError as exc:
@@ -220,16 +217,16 @@ def write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, out:
 # Commands
 
 
-def run_fidelity_sweep(config: ProtocolConfig, sweep: SweepSpec, fmt: str, out: TextIO) -> None:
+def run_fidelity_sweep(config: ProtocolConfig, fmt: str, out: TextIO,
+                       sweep: Optional[str] = None) -> None:
     """Closed-form and pipeline fidelities over a thermal sweep (T or nbar)."""
-    if sweep.field not in ("temperature_k", "nbar_override"):
-        raise ConfigDomainError(
-            "fidelity-sweep sweeps 'temperature_k' or 'nbar_override' "
-            "(for a thermal-ratio sweep use nbar_override = S/(1-S))")
-    columns = (sweep.field, "nbar", "S", "F_closed_form", "F_pipeline")
+    if not sweep:
+        raise ConfigDomainError("fidelity-sweep requires --sweep")
+    spec = SweepSpec.parse(sweep)
+    columns = (spec.field, "nbar", "S", "F_closed_form", "F_pipeline")
     rows = []
-    for value in sweep.values():
-        cfg = replace(config, **{sweep.field: float(value)})
+    for value in spec.values():
+        cfg = replace(config, **{spec.field: float(value)})
         nbar = cfg.mean_thermal_magnons
         s = cfg.thermal_ratio
         heralded = entangle_stage(cfg)
@@ -259,8 +256,8 @@ def _witness_row(point: WitnessPoint) -> list:
     return [point.delta_phi, point.stokes_detector, point.g2_a1, point.g2_a2, point.r_m, point.divergent]
 
 
-def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int,
-                      stokes_detector: int, trials: int) -> None:
+def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, trials: int = 0,
+                      grid_points: int = 25, detector: int = 1) -> None:
     """Exact witness curve; MC companion columns when trials > 0.
 
     Each phase's exact statistics come from one engine and feed both the
@@ -268,14 +265,14 @@ def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, grid_points
     estimate (a zero marginal) leaves its MC cells empty.
     """
     phase_stats = exact_phase_statistics(config, _phase_grid(grid_points))
-    points = [stats.witness_point(stokes_detector) for stats in phase_stats]
+    points = [stats.witness_point(detector) for stats in phase_stats]
     rows = []
     for k, (stats, point) in enumerate(zip(phase_stats, points)):
         row = _witness_row(point)
         if trials > 0:
             counts = montecarlo.sample_counts(config, trials, stream_tags=(k,), statistics=stats)
             try:
-                mc = montecarlo.estimate_witness({point.delta_phi: counts}, stokes_detector)[0]
+                mc = montecarlo.estimate_witness({point.delta_phi: counts}, detector)[0]
             except montecarlo.EstimatorError:
                 row += [None] * 6
             else:
@@ -285,18 +282,20 @@ def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, grid_points
     write_table(_witness_columns(trials > 0), rows, fmt, out)
 
 
-def run_baseline(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int,
-                 stokes_detector: int, baseline: str) -> None:
-    points = separable_baseline(config, _phase_grid(grid_points), stokes_detector, baseline=baseline)
+def run_baseline(config: ProtocolConfig, fmt: str, out: TextIO, grid_points: int = 25,
+                 detector: int = 1, baseline: str = "product_thermal") -> None:
+    points = separable_baseline(config, _phase_grid(grid_points), detector, baseline=baseline)
     write_table(_witness_columns(False), [_witness_row(p) for p in points], fmt, out)
 
 
-def run_mc_run(config: ProtocolConfig, fmt: str, out: TextIO, trials: int) -> None:
+def run_mc_run(config: ProtocolConfig, fmt: str, out: TextIO, trials: int = 0) -> None:
     """Sampled per-trial records, streamed to ``out`` chunk by chunk."""
+    if trials < 1:
+        raise ConfigDomainError("mc-run requires --trials >= 1")
     montecarlo.write_records(montecarlo.sample_chunks(config, trials), out, fmt)
 
 
-def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: int) -> bool:
+def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: int = 0) -> bool:
     """Compare MC estimates against exact engine values; True when all pass.
 
     Meaningful comparisons need on the order of 10^3 trials or more; fewer
@@ -358,16 +357,52 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
     return all(row[-1] for row in rows)
 
 
+# Each command's runner and the command-specific flags it reads; a given flag is
+# passed to the runner as a keyword, an absent one takes the runner's default.
+COMMANDS = {
+    "fidelity-sweep": (run_fidelity_sweep, ("sweep",)),
+    "witness-sweep": (run_witness_sweep, ("trials", "grid_points", "detector")),
+    "baseline": (run_baseline, ("grid_points", "detector", "baseline")),
+    "mc-run": (run_mc_run, ("trials",)),
+    "oracle-compare": (run_oracle_compare, ("trials",)),
+}
+
+
 # ---------------------------------------------------------------------------
 # Entry point
+
+
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """stdout, or ``path`` replaced only when the command returns: the output goes to a
+    new file beside it, renamed over it on return and removed if the command raises.
+    A path that exists but is not a regular file (a symlink, FIFO or device) is
+    written in place."""
+    if not path:
+        yield sys.stdout
+        return
+    in_place = os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
+    target = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        handle = open(target, "w" if in_place else "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigDomainError(f"cannot open --out {path!r}: {exc}") from exc
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if not in_place:
+            os.remove(target)
+        raise
+    if not in_place:
+        os.replace(target, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optomagnon",
         description="Heralded magnon-entanglement protocol simulator")
-    parser.add_argument("command", choices=(
-        "fidelity-sweep", "witness-sweep", "baseline", "mc-run", "oracle-compare"))
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -391,47 +426,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        for name, (default, readers) in COMMAND_FLAGS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-            elif args.command not in readers:
-                raise ConfigDomainError(f"{args.command} does not read --{name.replace('_', '-')}")
-        if args.trials < 0:
-            raise ConfigDomainError(f"--trials must be >= 0, got {args.trials}")
-        if args.grid_points < 1:
-            raise ConfigDomainError(f"--grid-points must be >= 1, got {args.grid_points}")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigDomainError(f"--seed must be >= 0, got {args.seed}")
+        runner, reads = COMMANDS[args.command]
+        flags = {name: getattr(args, name) for _, names in COMMANDS.values() for name in names
+                 if getattr(args, name) is not None}
+        unread = [name for name in flags if name not in reads]
+        if unread:
+            raise ConfigDomainError(f"{args.command} does not read --{unread[0].replace('_', '-')}")
+        for name, least in (("trials", 0), ("grid_points", 1), ("seed", 0)):
+            value = getattr(args, name)
+            if value is not None and value < least:
+                raise ConfigDomainError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
         config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, rng_seed=args.seed)
 
-        try:
-            sink = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
-        except OSError as exc:
-            raise ConfigDomainError(f"cannot open --out {args.out!r}: {exc}") from exc
-        try:
-            if args.command == "fidelity-sweep":
-                if not args.sweep:
-                    raise ConfigDomainError("fidelity-sweep requires --sweep")
-                run_fidelity_sweep(config, SweepSpec.parse(args.sweep), args.format, sink)
-            elif args.command == "witness-sweep":
-                run_witness_sweep(config, args.format, sink, args.grid_points,
-                                  args.detector, args.trials)
-            elif args.command == "baseline":
-                run_baseline(config, args.format, sink, args.grid_points,
-                             args.detector, args.baseline)
-            elif args.command == "mc-run":
-                if args.trials < 1:
-                    raise ConfigDomainError("mc-run requires --trials >= 1")
-                run_mc_run(config, args.format, sink, args.trials)
-            elif args.command == "oracle-compare":
-                if not run_oracle_compare(config, args.format, sink, args.trials):
-                    return EXIT_ORACLE_FAILURE
-        finally:
-            if args.out:
-                sink.close()
-        return EXIT_OK
+        with _output(args.out) as sink:
+            passed = runner(config, args.format, sink, **flags)
+        return EXIT_ORACLE_FAILURE if passed is False else EXIT_OK
     except ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

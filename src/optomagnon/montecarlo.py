@@ -14,10 +14,11 @@ chunk's text is assembled as numpy bytes.  Per-trial ``ClickRecord``
 objects exist only in the library's record-list API (``sample_trials``,
 ``records_to_csv``).
 
-Reproducibility contract: a master seed is expanded into fixed-size chunk
-streams through `numpy.random.SeedSequence([seed, *tags, chunk_index])`.
-Chunk boundaries are fixed, so count tables, record lists and streamed
-records of one (seed, tags, n_trials) hold the same trials.
+Reproducibility contract: the master seed is the config's ``rng_seed``, the
+only seed the samplers read.  It is expanded into fixed-size chunk streams
+through `numpy.random.SeedSequence([rng_seed, *tags, chunk_index])`.  Chunk
+boundaries are fixed, so count tables, record lists and streamed records of
+one (config, tags, n_trials) hold the same trials.
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ def _draw_chunks(probabilities: np.ndarray, n_trials: int,
     return map(draw, range(0, n_trials, CHUNK_TRIALS))
 
 
-def sample_chunks(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
-                  stream_tags: Sequence[int] = (),
+def sample_chunks(config: ProtocolConfig, n_trials: int, stream_tags: Sequence[int] = (),
                   statistics: Optional[JointStatistics] = None) -> Iterator[np.ndarray]:
     """Per-trial outcome codes ``4 * stokes + anti``, one array per chunk.
 
@@ -119,21 +119,18 @@ def sample_chunks(config: ProtocolConfig, n_trials: int, seed: Optional[int] = N
     distribution is computed on the call; chunks are drawn lazily, so a
     caller holds one chunk at a time whatever ``n_trials`` is.
     ``stream_tags`` lets callers (e.g. a phase sweep) derive independent
-    sub-streams from one master seed without collisions.  ``statistics``
-    reuses a precomputed exact distribution.
+    sub-streams from the master seed ``config.rng_seed`` without
+    collisions.  ``statistics`` reuses a precomputed exact distribution.
     """
     if n_trials < 1:
         raise EstimatorError("n_trials must be >= 1")
-    if seed is None:
-        seed = config.rng_seed
     if statistics is None:
         statistics = exact_joint_statistics(config)
     return _draw_chunks(_outcome_probabilities(statistics), n_trials,
-                        [int(seed), *map(int, stream_tags)])
+                        [int(config.rng_seed), *map(int, stream_tags)])
 
 
-def sample_counts(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
-                  stream_tags: Sequence[int] = (),
+def sample_counts(config: ProtocolConfig, n_trials: int, stream_tags: Sequence[int] = (),
                   statistics: Optional[JointStatistics] = None) -> np.ndarray:
     """4x4 table ``counts[stokes, anti]`` over CLICK_CATEGORIES of sampled trials.
 
@@ -141,20 +138,19 @@ def sample_counts(config: ProtocolConfig, n_trials: int, seed: Optional[int] = N
     estimators read.  Same draws as ``sample_trials`` for the same inputs.
     """
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)
-    for chunk in sample_chunks(config, n_trials, seed, stream_tags, statistics):
+    for chunk in sample_chunks(config, n_trials, stream_tags, statistics):
         counts += np.bincount(chunk, minlength=len(OUTCOMES))
     return counts.reshape(4, 4)
 
 
-def sample_trials(config: ProtocolConfig, n_trials: int, seed: Optional[int] = None,
-                  stream_tags: Sequence[int] = (),
+def sample_trials(config: ProtocolConfig, n_trials: int, stream_tags: Sequence[int] = (),
                   statistics: Optional[JointStatistics] = None) -> list[ClickRecord]:
     """Draw per-trial detector outcomes from the exact outcome distribution.
 
-    Deterministic in (config, seed, n_trials), see ``sample_chunks``.
+    Deterministic in (config, n_trials), see ``sample_chunks``.
     """
     records = []
-    for chunk in sample_chunks(config, n_trials, seed, stream_tags, statistics):
+    for chunk in sample_chunks(config, n_trials, stream_tags, statistics):
         start = len(records)
         records.extend(ClickRecord(start + i, *OUTCOMES[code])
                        for i, code in enumerate(chunk.tolist()))

@@ -60,7 +60,6 @@ from .channels import (
     phase_shift_unitary,
     squeezer_vacuum_tail,
     swap_coupler_unitary,
-    thermal_state,
     thermal_truncation_weight,
     thermal_weights,
     two_mode_squeezer_unitary,
@@ -376,6 +375,12 @@ def _thermal_overlay(blocks: np.ndarray, nbar: float, dims: tuple[int, int]) -> 
     return out / retained, max(0.0, 1.0 - retained)
 
 
+def _product_thermal(nbar: float, cutoff: int) -> np.ndarray:
+    """Two-magnon product of truncated thermal states, magnon A first."""
+    w = thermal_weights(nbar, cutoff)
+    return np.kron(np.diag(w), np.diag(w)).astype(complex)
+
+
 def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     """Run the entangling optics up to (not including) the herald detectors: the state is
     carried on its support up to the herald beamsplitter, then split into Stokes sectors."""
@@ -386,8 +391,7 @@ def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     nbar = config.mean_thermal_magnons
     seeded_thermal = config.thermal_model == "squeezed_thermal" and nbar > 0.0
     if seeded_thermal:  # on the magnon block of Stokes sector (0, 0)
-        th = thermal_state(nbar, cm).matrix
-        support, rho = np.arange(d_m), DensityOperator.product(config.magnon_registry(), [th, th]).matrix
+        support, rho = np.arange(d_m), _product_thermal(nbar, cm)
     else:
         support, rho = np.arange(1), np.ones((1, 1), dtype=complex)
 
@@ -438,18 +442,20 @@ def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     return EntangleFrontState(blocks=blocks, truncation_estimate=truncation)
 
 
-def _herald_port(stack: np.ndarray, axis: int, weights: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
-    """Probability of the POVM diagonal ``weights`` on Stokes axis ``axis`` of ``stack``, and the
-    normalized state it leaves on the other modes (None at probability <= 1e-15)."""
+def _port_probability(stack: np.ndarray, axis: int, weights: np.ndarray) -> float:
+    """Probability of the POVM diagonal ``weights`` on Stokes axis ``axis`` of ``stack``."""
     n_port = np.indices(stack.shape[:-1])[axis].reshape(-1)
-    probability = float(np.dot(_diagonal(stack).real.copy(), weights[n_port]))
-    if probability <= 1e-15:
-        return probability, None
+    return float(np.dot(_diagonal(stack).real.copy(), weights[n_port]))
+
+
+def _port_conditioned(stack: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarray:
+    """Normalized state that the POVM diagonal ``weights`` on Stokes axis ``axis`` of ``stack``
+    leaves on the other modes."""
     root = np.sqrt(weights)
     out = np.zeros(stack.shape[:axis] + stack.shape[axis + 1:], dtype=complex)
     for s in range(stack.shape[axis]):
         out += (np.take(stack, s, axis) * root[s]) * root[s]
-    return probability, out / np.sum(_diagonal(out))
+    return out / np.sum(_diagonal(out))
 
 
 def entangle_stage(config: ProtocolConfig) -> HeraldedState:
@@ -458,18 +464,20 @@ def entangle_stage(config: ProtocolConfig) -> HeraldedState:
     consumed optical modes are traced out."""
     front = entangle_front_state(config)
     no_click = config.detector.no_click_weights(config.optical_cutoff)
+    herald_axis = config.herald_detector_index - 1
 
-    p_click, rho_click = _herald_port(front.blocks, config.herald_detector_index - 1, 1.0 - no_click)
-    if rho_click is None or p_click < HERALD_FLOOR:
+    p_click = _port_probability(front.blocks, herald_axis, 1.0 - no_click)
+    if p_click < HERALD_FLOOR:
         raise HeraldError(
             f"herald probability {p_click:.3e} below floor {HERALD_FLOOR:.1e}; "
             f"no pulse or no scattering to condition on")
+    rho_click = _port_conditioned(front.blocks, herald_axis, 1.0 - no_click)
     # the silent port is the one Stokes axis left
-    herald_probability = p_click * (1.0 - _herald_port(rho_click, 0, 1.0 - no_click)[0])
-    _, rho_magnons = _herald_port(rho_click, 0, no_click)
-    if rho_magnons is None or herald_probability < HERALD_FLOOR:
+    herald_probability = p_click * (1.0 - _port_probability(rho_click, 0, 1.0 - no_click))
+    if herald_probability < HERALD_FLOOR:
         raise HeraldError(
             f"herald probability {herald_probability:.3e} below floor {HERALD_FLOOR:.1e}")
+    rho_magnons = _port_conditioned(rho_click, 0, no_click)
 
     return HeraldedState(
         rho_magnons=DensityOperator(config.magnon_registry(), rho_magnons),
@@ -695,8 +703,7 @@ def separable_baseline(config: ProtocolConfig, phase_grid: Sequence[float],
     co, cm = config.optical_cutoff, config.magnon_cutoff
     registry = config.magnon_registry()
     if baseline == "product_thermal":
-        w = thermal_weights(config.mean_thermal_magnons, cm)
-        mat = np.kron(np.diag(w), np.diag(w)).astype(complex)
+        mat = _product_thermal(config.mean_thermal_magnons, cm)
     elif baseline == "classical_mixture":
         mat = np.zeros((registry.dimension, registry.dimension), dtype=complex)
         mat[registry.index_of((0, 1)), registry.index_of((0, 1))] = 0.5

@@ -169,7 +169,7 @@ def test_criterion_8_monte_carlo_matches_exact_engine():
         stats = exact_joint_statistics(cfg)
         table = stats.click_pattern_probabilities()
         n = 100_000
-        counts = sample_counts(cfg, n, seed=60, statistics=stats)
+        counts = sample_counts(replace(cfg, rng_seed=60), n, statistics=stats)
         fractions = click_fractions(counts)
 
         def rate_check(exact, estimate):
@@ -201,7 +201,7 @@ def test_criterion_8_monte_carlo_matches_exact_engine():
             for tag, size in ((3, 1_000), (4, 10_000), (5, 100_000)):
                 errs = []
                 for rep in range(24):
-                    tally = sample_counts(cfg, size, seed=1000 + rep,
+                    tally = sample_counts(replace(cfg, rng_seed=1000 + rep), size,
                                           stream_tags=(tag,), statistics=stats)
                     errs.append(abs(click_fractions(tally)[key] - exact_rate))
                 errors[size] = float(np.mean(errs))

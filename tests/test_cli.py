@@ -10,9 +10,9 @@ import pytest
 from optomagnon import fock
 from optomagnon.cli import (
     _FIELD_TYPES,
-    _FLOAT_FIELDS,
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
+    EXIT_ORACLE_FAILURE,
     EXIT_PARSE_ERROR,
     EXIT_RUNTIME_ERROR,
     ConfigDomainError,
@@ -272,6 +272,48 @@ def test_exit_codes(tmp_path):
                  "--sweep", "temperature_k:0.1:0.1:1"]) == EXIT_RUNTIME_ERROR
 
 
+@pytest.mark.parametrize("detector_line, message", [
+    ("detector.efficiency = 0.0", "herald probability 0.000e+00 below floor 1.0e-12; "
+                                  "no pulse or no scattering to condition on"),
+    ("detector.dark_click_probability = 1.0", "herald probability 0.000e+00 below floor 1.0e-12"),
+])
+def test_each_herald_floor_is_a_runtime_error(tmp_path, capsys, detector_line, message):
+    cfg = _write(tmp_path, "det.cfg", detector_line + "\n")
+    assert _run(["fidelity-sweep", "--config", cfg, "--sweep", "temperature_k:0.1:0.1:1",
+                 "--out", str(tmp_path / "o.csv")]) == EXIT_RUNTIME_ERROR
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
+def test_a_failing_command_leaves_an_existing_out_unchanged(tmp_path):
+    out = tmp_path / "o.csv"
+    out.write_text("kept\n")
+    dead = _write(tmp_path, "dead.cfg", "pulse_mean_photons = 0.0\n")
+    assert _run(["fidelity-sweep", "--config", dead, "--sweep", "temperature_k:0.1:0.1:1",
+                 "--out", str(out)]) == EXIT_RUNTIME_ERROR
+    assert out.read_text() == "kept\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dead.cfg", "o.csv"]
+
+
+def test_a_failing_oracle_report_replaces_out(tmp_path):
+    # a low-count g2 row fails its 4-sigma band here (a known defect of the gate)
+    cfg = _write(tmp_path, "oc.cfg", COUNTING_CFG + "temperature_k = 0.17143585626709526\n")
+    out = tmp_path / "o.csv"
+    out.write_text("kept\n")
+    assert _run(["oracle-compare", "--config", cfg, "--trials", "200000",
+                 "--seed", "1694927838", "--out", str(out)]) == EXIT_ORACLE_FAILURE
+    assert out.read_text().splitlines()[0] == "observable,exact,mc_estimate,sigma,passed"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["o.csv", "oc.cfg"]
+
+
+def test_an_out_symlink_is_written_through_in_place(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("kept\n")
+    link.symlink_to(target)
+    assert _run(["baseline", "--grid-points", "2", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_text().startswith("delta_phi,j,")
+
+
 @pytest.mark.parametrize("args", [
     ["fidelity-sweep", "--sweep", "temperature_k:0.1:0.1:1"],
     ["witness-sweep"], ["baseline"], ["mc-run", "--trials", "10"],
@@ -446,7 +488,8 @@ def test_witness_sweep_zero_count_phases_leave_mc_cells_empty(tmp_path):
 
 
 @pytest.mark.parametrize("line", [
-    *(f"{name} = {value}" for name in sorted(_FLOAT_FIELDS) for value in ("nan", "inf")),
+    *(f"{name} = {value}" for name, kind in sorted(_FIELD_TYPES.items())
+      if kind is float and "." not in name for value in ("nan", "inf")),
     "pulse_mean_photons = -1", "magnon_decay_delay_ratio = -1",
 ])
 def test_non_finite_and_negative_float_fields_exit_with_a_domain_error(tmp_path, capsys, line):

@@ -44,28 +44,23 @@ def _boosted_config(**overrides):
 
 
 def test_sampling_is_deterministic():
-    cfg = _boosted_config()
-    first = sample_trials(cfg, 5000, seed=99)
-    second = sample_trials(cfg, 5000, seed=99)
+    cfg = _boosted_config(rng_seed=99)
+    first = sample_trials(cfg, 5000)
+    second = sample_trials(cfg, 5000)
     assert first == second
     assert [r.trial_index for r in first] == list(range(5000))
 
 
-def test_sampling_uses_config_seed_by_default():
-    cfg = _boosted_config(rng_seed=1234)
-    assert sample_trials(cfg, 100) == sample_trials(cfg, 100, seed=1234)
-
-
 def test_zero_pulse_gives_no_stokes_clicks():
-    cfg = ProtocolConfig(pulse_mean_photons=0.0)
-    records = sample_trials(cfg, 500, seed=2)
+    cfg = ProtocolConfig(pulse_mean_photons=0.0, rng_seed=2)
+    records = sample_trials(cfg, 500)
     assert all(r.stokes_click == "none" for r in records)
 
 
 def test_stokes_click_rate_matches_exact_herald():
-    cfg = ProtocolConfig()  # reference defaults
+    cfg = ProtocolConfig(rng_seed=5)  # reference defaults
     n = 100_000
-    records = sample_trials(cfg, n, seed=5)
+    records = sample_trials(cfg, n)
     table = exact_joint_statistics(cfg).click_pattern_probabilities()
     exact = table[1, :].sum()
     empirical = click_fractions(count_table(records))["stokes_detector1"]
@@ -87,8 +82,8 @@ def test_g2_for_independent_streams_is_one():
 
 
 def test_g2_estimate_matches_exact_click_correlation():
-    cfg = _boosted_config()
-    records = sample_trials(cfg, 60_000, seed=21)
+    cfg = _boosted_config(rng_seed=21)
+    records = sample_trials(cfg, 60_000)
     stats = exact_joint_statistics(cfg)
     for anti in (1, 2):
         est = estimate_g2(count_table(records), anti, 1)
@@ -111,8 +106,8 @@ def test_witness_estimate_brackets_exact_value():
     n = 80_000
     counts_by_phase = {}
     for k, phi in enumerate((math.pi / 2, 2.3)):
-        cfg_phi = replace(cfg, read_phase_rad=phi)
-        counts_by_phase[phi] = count_table(sample_trials(cfg_phi, n, seed=31, stream_tags=(k,)))
+        cfg_phi = replace(cfg, read_phase_rad=phi, rng_seed=31)
+        counts_by_phase[phi] = count_table(sample_trials(cfg_phi, n, stream_tags=(k,)))
     points = estimate_witness(counts_by_phase, stokes_detector=1)
     for point in points:
         assert not point.divergent
@@ -156,8 +151,8 @@ def test_records_to_csv_header_and_record_validation():
 
 
 def test_click_categories_exhaustive():
-    cfg = _boosted_config()
-    records = sample_trials(cfg, 2000, seed=17)
+    cfg = _boosted_config(rng_seed=17)
+    records = sample_trials(cfg, 2000)
     for r in records:
         assert r.stokes_click in CLICK_CATEGORIES
         assert r.antistokes_click in CLICK_CATEGORIES
@@ -165,8 +160,8 @@ def test_click_categories_exhaustive():
 
 def test_no_nan_in_any_estimate():
     # impossible estimates must surface as errors or flags, never NaN
-    cfg = _boosted_config()
-    counts = count_table(sample_trials(cfg, 30_000, seed=41))
+    cfg = _boosted_config(rng_seed=41)
+    counts = count_table(sample_trials(cfg, 30_000))
     for anti in (1, 2):
         est = estimate_g2(counts, anti, 1)
         assert math.isfinite(est.value) and math.isfinite(est.standard_error)
@@ -178,11 +173,11 @@ def test_no_nan_in_any_estimate():
 
 
 def test_sample_counts_is_the_count_table_of_the_records():
-    cfg = _boosted_config()
+    cfg = _boosted_config(rng_seed=8)
     stats = exact_joint_statistics(cfg)
     for n in (1, 4096, 4097, 10_000):
-        records = sample_trials(cfg, n, seed=8, stream_tags=(2,), statistics=stats)
-        counts = sample_counts(cfg, n, seed=8, stream_tags=(2,), statistics=stats)
+        records = sample_trials(cfg, n, stream_tags=(2,), statistics=stats)
+        counts = sample_counts(cfg, n, stream_tags=(2,), statistics=stats)
         assert counts.shape == (4, 4) and int(counts.sum()) == n
         assert np.array_equal(counts, count_table(records))
 
@@ -216,13 +211,13 @@ def test_streamed_records_match_record_serialization():
     import io
     import json
 
-    cfg = _boosted_config()
+    cfg = _boosted_config(rng_seed=4)
     # every power-of-ten edge of the index width and every chunk edge
     for n in (1, 9, 10, 11, 4095, 4096, 4097, 9999, 10000, 10001, 100001):
-        records = sample_trials(cfg, n, seed=4)
+        records = sample_trials(cfg, n)
         csv_out, json_out = io.StringIO(), io.StringIO()
-        write_records(sample_chunks(cfg, n, seed=4), csv_out, "csv")
-        write_records(sample_chunks(cfg, n, seed=4), json_out, "json")
+        write_records(sample_chunks(cfg, n), csv_out, "csv")
+        write_records(sample_chunks(cfg, n), json_out, "json")
         assert csv_out.getvalue() == records_to_csv(records)
         assert json_out.getvalue() == json.dumps(
             [dataclasses.asdict(r) for r in records], indent=2) + "\n"

@@ -264,6 +264,21 @@ def test_entangle_zero_pulse_raises():
         entangle_stage(replace(COLD, stokes_probability=0.0))
 
 
+# the first floor is on the herald click, the second on the silent port's no-click
+HERALD_FLOOR_FAILURES = [
+    (DetectorSpec(efficiency=0.0), "herald probability 0.000e+00 below floor 1.0e-12; "
+                                   "no pulse or no scattering to condition on"),
+    (DetectorSpec(dark_click_probability=1.0), "herald probability 0.000e+00 below floor 1.0e-12"),
+]
+
+
+@pytest.mark.parametrize("detector, message", HERALD_FLOOR_FAILURES)
+def test_each_herald_floor_raises_its_message(detector, message):
+    with pytest.raises(HeraldError) as caught:
+        entangle_stage(ProtocolConfig(detector=detector))
+    assert str(caught.value) == message
+
+
 def test_herald_probability_linear_in_p_and_scattering():
     base = entangle_stage(COLD).herald_probability
     doubled_p = entangle_stage(replace(COLD, pulse_mean_photons=0.02)).herald_probability
