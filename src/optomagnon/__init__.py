@@ -52,6 +52,7 @@ from .protocol import (
     closed_form_fidelity,
     consistency_check_thermal,
     entangle_stage,
+    entangle_sweep,
     exact_joint_statistics,
     exact_phase_statistics,
     ideal_target_state,

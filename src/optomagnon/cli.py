@@ -11,8 +11,10 @@ Commands
 it reads; a command given any other of those flags rejects it.  Every
 command is deterministic given (config file, seed): reruns produce
 identical bytes.  ``--workers`` is accepted and changes nothing.  Each
-command builds the exact engine once and lifts each distinct stage operator
-once, so the points of a sweep reuse the lifts; commands share none.
+command lifts each distinct stage operator once and builds the optics before
+the thermal step once: the points of a ``fidelity-sweep`` (``entangle_sweep``)
+run only the thermal step and the herald, except under ``squeezed_thermal``,
+where the occupation seeds the squeezers.  Commands share none of it.
 Config keys and their types are read off ``ProtocolConfig`` (``detector.*``
 for its detector), and a key given twice is a parse error.  ``--out`` is
 replaced only when the command finishes, so a failing command leaves an
@@ -42,6 +44,7 @@ from . import montecarlo
 from .channels import DetectorSpec
 from .fock import FockSpaceError, _lift, fidelity_with_pure
 from .protocol import (
+    THERMAL_SWEEP_FIELDS,
     WITNESS_DIVERGENCE_EPSILON,
     HeraldError,
     ProtocolConfig,
@@ -49,7 +52,7 @@ from .protocol import (
     WitnessPoint,
     ZeroIntensityError,
     closed_form_fidelity,
-    entangle_stage,
+    entangle_sweep,
     exact_joint_statistics,
     exact_phase_statistics,
     ideal_target_state,
@@ -162,7 +165,7 @@ class SweepSpec:
         if len(parts) != 4:
             raise ConfigDomainError(f"sweep must be field:start:stop:count, got {text!r}")
         field, start, stop, count = parts
-        if field not in ("temperature_k", "nbar_override"):
+        if field not in THERMAL_SWEEP_FIELDS:
             raise ConfigDomainError(
                 "fidelity-sweep sweeps 'temperature_k' or 'nbar_override' "
                 "(for a thermal-ratio sweep use nbar_override = S/(1-S))")
@@ -225,14 +228,11 @@ def run_fidelity_sweep(config: ProtocolConfig, fmt: str, out: TextIO,
     spec = SweepSpec.parse(sweep)
     columns = (spec.field, "nbar", "S", "F_closed_form", "F_pipeline")
     rows = []
-    for value in spec.values():
-        cfg = replace(config, **{spec.field: float(value)})
-        nbar = cfg.mean_thermal_magnons
+    for cfg, heralded in entangle_sweep(config, spec.field, spec.values()):
         s = cfg.thermal_ratio
-        heralded = entangle_stage(cfg)
         target = ideal_target_state(heralded.herald_sign, cfg.magnon_cutoff)
         rows.append((
-            float(value), nbar, s,
+            getattr(cfg, spec.field), cfg.mean_thermal_magnons, s,
             closed_form_fidelity(s),
             fidelity_with_pure(heralded.rho_magnons, target),
         ))

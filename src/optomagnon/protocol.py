@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -326,6 +326,9 @@ class EntangleFrontState:
     (detector-1 port, detector-2 port).  The Stokes-off-diagonal coherences are dropped:
     the herald's partial trace and every trace read only Stokes-diagonal entries.
     ``truncation_estimate`` collects squeezer tails, thermal leakage and any trace drift.
+    The optics before the thermal step (``_optical_front``) build a read-only stack that
+    a thermal sweep shares across its points; where neither the overlay nor a trace divide
+    changes it, ``blocks`` is that shared stack itself.
     """
 
     blocks: np.ndarray
@@ -357,22 +360,27 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return np.diagonal(stack, axis1=-2, axis2=-1).reshape(-1)
 
 
-def _thermal_overlay(blocks: np.ndarray, nbar: float, dims: tuple[int, int]) -> tuple[np.ndarray, float]:
+def _thermal_overlay(blocks: np.ndarray, nbar: float, dims: tuple[int, int],
+                     corner: tuple[int, int]) -> tuple[np.ndarray, float]:
     """Classical-mixture bookkeeping of residual thermal occupation on a sector stack: each
     magnon mode starts with n quanta with weight (1-S) S^n, which ride along unchanged (a
-    slice-add on its ket and bra axes); weight pushed past a cutoff is dropped and reported."""
+    slice-add on its ket and bra axes); weight pushed past a cutoff is dropped and reported.
+    ``blocks`` is zero outside the magnon levels below ``corner``, so only that corner of
+    each shifted copy is added: the skipped terms are zeros added to sums that start at
+    +0.0, so the result is bit for bit the whole-block overlay."""
     d_a, d_b = dims
     tensor = blocks.reshape(-1, d_a, d_b, d_a, d_b)
     out = np.zeros_like(tensor)
-    shifts_a, shifts_b = ([(n, w) for n, w in enumerate(geometric_weights(nbar, d - 1)) if w > 0.0]
-                          for d in dims)
-    for n_a, w_a in shifts_a:
-        for n_b, w_b in shifts_b:
-            out[:, n_a:, n_b:, n_a:, n_b:] += (w_a * w_b) * tensor[
-                :, :d_a - n_a, :d_b - n_b, :d_a - n_a, :d_b - n_b]
+    shifts_a, shifts_b = ([(n, w, min(c, d - n)) for n, w in enumerate(geometric_weights(nbar, d - 1))
+                           if w > 0.0] for d, c in zip(dims, corner))
+    for n_a, w_a, k_a in shifts_a:
+        for n_b, w_b, k_b in shifts_b:
+            out[:, n_a:n_a + k_a, n_b:n_b + k_b, n_a:n_a + k_a, n_b:n_b + k_b] += (w_a * w_b) * tensor[
+                :, :k_a, :k_b, :k_a, :k_b]
     out = out.reshape(blocks.shape)
     retained = float(np.sum(_diagonal(out)).real)
-    return out / retained, max(0.0, 1.0 - retained)
+    out /= retained
+    return out, max(0.0, 1.0 - retained)
 
 
 def _product_thermal(nbar: float, cutoff: int) -> np.ndarray:
@@ -381,17 +389,18 @@ def _product_thermal(nbar: float, cutoff: int) -> np.ndarray:
     return np.kron(np.diag(w), np.diag(w)).astype(complex)
 
 
-def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
-    """Run the entangling optics up to (not including) the herald detectors: the state is
-    carried on its support up to the herald beamsplitter, then split into Stokes sectors."""
+def _optical_front(config: ProtocolConfig) -> tuple[np.ndarray, float, tuple[int, int]]:
+    """The entangling optics up to (not including) the herald detectors, before the thermal
+    step: the state is carried on its support up to the herald beamsplitter, then split into
+    Stokes sectors.  Returns the read-only sector stack, the squeezer-tail truncation and
+    the magnon corner (levels below it per mode) outside which the stack is zero.  The
+    temperature is read only when ``squeezed_thermal`` seeds the squeezers."""
     co, cm = config.optical_cutoff, config.magnon_cutoff
     registry = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
     d_m = (cm + 1) ** 2
 
-    nbar = config.mean_thermal_magnons
-    seeded_thermal = config.thermal_model == "squeezed_thermal" and nbar > 0.0
-    if seeded_thermal:  # on the magnon block of Stokes sector (0, 0)
-        support, rho = np.arange(d_m), _product_thermal(nbar, cm)
+    if _seeded_thermal(config):  # on the magnon block of Stokes sector (0, 0)
+        support, rho = np.arange(d_m), _product_thermal(config.mean_thermal_magnons, cm)
     else:
         support, rho = np.arange(1), np.ones((1, 1), dtype=complex)
 
@@ -426,20 +435,41 @@ def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     for k in np.unique(sector):
         at = np.flatnonzero(sector == k)
         blocks[divmod(k, co + 1)][np.ix_(magnons[at], magnons[at])] = rho[np.ix_(at, at)]
+    blocks.flags.writeable = False
+    corner = tuple(int(levels.max()) + 1 for levels in np.divmod(magnons, cm + 1))
+    return blocks, truncation, corner
 
-    if nbar > 0.0 and not seeded_thermal:
-        blocks, leak = _thermal_overlay(blocks, nbar, config.magnon_registry().dims)
+
+def _seeded_thermal(config: ProtocolConfig) -> bool:
+    """Whether the residual occupation seeds the squeezers rather than being overlaid."""
+    return config.thermal_model == "squeezed_thermal" and config.mean_thermal_magnons > 0.0
+
+
+def _thermal_step(config: ProtocolConfig, optical: tuple) -> EntangleFrontState:
+    """The temperature-dependent rest of the front, on an ``_optical_front`` of ``config``
+    (which it does not modify): the overlay or the seeded model's truncation weight, and
+    the trace-drift renormalisation."""
+    blocks, truncation, corner = optical
+    nbar = config.mean_thermal_magnons
+    if _seeded_thermal(config):
+        truncation += 2.0 * thermal_truncation_weight(nbar, config.magnon_cutoff)
+    elif nbar > 0.0:
+        blocks, leak = _thermal_overlay(blocks, nbar, config.magnon_registry().dims, corner)
         truncation += leak
-    elif seeded_thermal:
-        truncation += 2.0 * thermal_truncation_weight(nbar, cm)
 
     # traces sum the full-length diagonal in dense order
     trace = np.sum(_diagonal(blocks))
     drift = abs(float(trace.real) - 1.0)
     truncation += drift
-    if drift > 0:
-        blocks = blocks / trace
+    if drift > 0:  # in place unless ``blocks`` is still the read-only optical stack
+        blocks = np.divide(blocks, trace, out=blocks if blocks.flags.writeable else None)
     return EntangleFrontState(blocks=blocks, truncation_estimate=truncation)
+
+
+def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
+    """Run the entangling optics up to (not including) the herald detectors, then the
+    thermal step."""
+    return _thermal_step(config, _optical_front(config))
 
 
 def _port_probability(stack: np.ndarray, axis: int, weights: np.ndarray) -> float:
@@ -462,7 +492,35 @@ def entangle_stage(config: ProtocolConfig) -> HeraldedState:
     """Herald on a single click and return the conditional two-magnon state: the configured
     detector clicks while the other stays silent (double clicks are discarded), and the
     consumed optical modes are traced out."""
-    front = entangle_front_state(config)
+    return _herald(config, entangle_front_state(config))
+
+
+THERMAL_SWEEP_FIELDS = ("temperature_k", "nbar_override")
+
+
+def entangle_sweep(config: ProtocolConfig, field: str,
+                   values: Sequence[float]) -> list[tuple[ProtocolConfig, HeraldedState]]:
+    """``entangle_stage`` at each value of the thermal field ``field`` (one of
+    ``THERMAL_SWEEP_FIELDS``), as (point config, heralded state) pairs.  Under
+    ``mixture_overlay`` the optical front does not read the temperature, so it is built
+    once and only the thermal step and the herald run per point; ``squeezed_thermal``
+    seeds the squeezers with each point's occupation and builds a front per point."""
+    if field not in THERMAL_SWEEP_FIELDS:
+        raise ProtocolError(f"a thermal sweep varies one of {THERMAL_SWEEP_FIELDS}, not {field!r}")
+    if field == "temperature_k" and config.nbar_override is not None:
+        raise ProtocolError("sweeping temperature_k changes nothing while nbar_override is set "
+                            "(nbar_override takes precedence); sweep nbar_override or unset it")
+    points, optical = [], None
+    for value in values:
+        cfg = replace(config, **{field: float(value)})
+        if optical is None or cfg.thermal_model == "squeezed_thermal":
+            optical = _optical_front(cfg)
+        points.append((cfg, _herald(cfg, _thermal_step(cfg, optical))))
+    return points
+
+
+def _herald(config: ProtocolConfig, front: EntangleFrontState) -> HeraldedState:
+    """The single-click herald of ``entangle_stage`` on the front state of ``config``."""
     no_click = config.detector.no_click_weights(config.optical_cutoff)
     herald_axis = config.herald_detector_index - 1
 

@@ -196,6 +196,20 @@ def test_fidelity_sweep_zero_thermal_row(tmp_path):
     assert abs(float(row[4]) - 1.0) < 1e-3
 
 
+def test_temperature_sweep_under_nbar_override_is_a_domain_error(tmp_path, capsys):
+    # nbar_override takes precedence, so every row would repeat the same point
+    cfg = _write(tmp_path, "override.cfg", "nbar_override = 0.05\n")
+    out = tmp_path / "o.csv"
+    assert _run(["fidelity-sweep", "--config", cfg, "--sweep", "temperature_k:0.05:0.3:3",
+                 "--out", str(out)]) == EXIT_DOMAIN_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ")
+    assert "temperature_k" in err and "nbar_override" in err
+    assert not out.exists()
+    assert _run(["fidelity-sweep", "--config", cfg, "--sweep", "nbar_override:0.05:0.3:3",
+                 "--out", str(out)]) == EXIT_OK
+
+
 def test_witness_sweep_has_entangled_row_and_is_deterministic(tmp_path):
     args = ["witness-sweep", "--grid-points", "9", "--out"]
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"

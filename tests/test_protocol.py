@@ -52,6 +52,7 @@ from optomagnon.protocol import (
     ProtocolError,
     ProtocolRegimeWarning,
     ZeroIntensityError,
+    _optical_front,
     _stokes_sector_blocks,
     _thermal_overlay,
     JointStatistics,
@@ -59,6 +60,7 @@ from optomagnon.protocol import (
     consistency_check_thermal,
     entangle_front_state,
     entangle_stage,
+    entangle_sweep,
     exact_joint_statistics,
     exact_phase_statistics,
     ideal_target_state,
@@ -167,8 +169,9 @@ def test_thermal_overlay_matches_embedded_shift_sandwiches():
         for w_b, v_b in shifts(MAGNON_B):
             expected += (w_a * w_b) * (v_a @ (v_b @ rho.matrix @ v_b.conj().T) @ v_a.conj().T)
     retained = float(np.trace(expected).real)
-    # the overlay runs on the Stokes-diagonal sector stack of the same matrix
-    got, leak = _thermal_overlay(_sector_stack(rho), 0.3, registry.dims[2:])
+    # the overlay runs on the Stokes-diagonal sector stack of the same matrix, which is
+    # dense: its occupied corner is the whole magnon block
+    got, leak = _thermal_overlay(_sector_stack(rho), 0.3, registry.dims[2:], registry.dims[2:])
     assert np.array_equal(got, _sector_stack(DensityOperator(registry, expected)) / retained)
     assert leak == max(0.0, 1.0 - retained)
 
@@ -720,6 +723,87 @@ def test_front_and_herald_are_bit_identical_to_dense_reference(cfg):
     assert np.array_equal(heralded.rho_magnons.matrix, rho)
     assert heralded.herald_probability == herald_probability
     assert heralded.truncation_error == dense.truncation_estimate
+
+
+SWEEP_CONFIGS = [
+    ProtocolConfig(),
+    ProtocolConfig(thermal_model="squeezed_thermal"),
+    ProtocolConfig(propagation_transmissivity_a=0.7, propagation_transmissivity_b=0.5,
+                   stokes_probability_b=0.02, herald_detector_index=2),
+    ProtocolConfig(optical_cutoff=2, magnon_cutoff=4, propagation_transmissivity_b=0.8,
+                   thermal_model="squeezed_thermal", herald_detector_index=2,
+                   detector=DetectorSpec(efficiency=0.6, dark_click_probability=1e-4)),
+]
+
+
+@pytest.mark.parametrize("cfg", SWEEP_CONFIGS)
+@pytest.mark.parametrize("field, values", [
+    ("temperature_k", [0.0, 0.05, 0.2, 0.5]),  # the first point has no overlay
+    ("nbar_override", [0.0, 0.01, 0.3]),
+])
+def test_sweep_points_are_bit_equal_to_independent_stages(cfg, field, values):
+    points = entangle_sweep(cfg, field, values)
+    assert [point_cfg for point_cfg, _ in points] == [replace(cfg, **{field: v}) for v in values]
+    for point_cfg, heralded in points:
+        alone = entangle_stage(point_cfg)
+        assert heralded.rho_magnons.matrix.tobytes() == alone.rho_magnons.matrix.tobytes()
+        assert (heralded.herald_probability, heralded.herald_sign, heralded.truncation_error) == (
+            alone.herald_probability, alone.herald_sign, alone.truncation_error)
+
+
+def test_sweep_rejects_a_field_it_cannot_share_the_optics_over():
+    with pytest.raises(ProtocolError, match="pulse_mean_photons"):
+        entangle_sweep(ProtocolConfig(), "pulse_mean_photons", [0.01])
+    with pytest.raises(ProtocolError, match="temperature_k.*nbar_override"):
+        entangle_sweep(ProtocolConfig(nbar_override=0.05), "temperature_k", [0.1, 0.2])
+
+
+def test_shared_optical_front_is_read_only():
+    blocks, _, _ = _optical_front(ProtocolConfig())
+    with pytest.raises(ValueError):
+        blocks[0, 0] += 1.0
+
+
+def _whole_block_overlay(blocks, nbar, dims):
+    """The thermal overlay as it was before it was restricted to the occupied corner: every
+    shifted copy of every whole magnon block is added."""
+    d_a, d_b = dims
+    tensor = blocks.reshape(-1, d_a, d_b, d_a, d_b)
+    out = np.zeros_like(tensor)
+    shifts_a, shifts_b = ([(n, w) for n, w in enumerate(geometric_weights(nbar, d - 1)) if w > 0.0]
+                          for d in dims)
+    for n_a, w_a in shifts_a:
+        for n_b, w_b in shifts_b:
+            out[:, n_a:, n_b:, n_a:, n_b:] += (w_a * w_b) * tensor[
+                :, :d_a - n_a, :d_b - n_b, :d_a - n_a, :d_b - n_b]
+    out = out.reshape(blocks.shape)
+    retained = float(np.sum(np.diagonal(out, axis1=-2, axis2=-1).reshape(-1)).real)
+    return out / retained, max(0.0, 1.0 - retained)
+
+
+# 0.002 K: S = exp(-168), so the geometric weights underflow to 0 from n = 5 on
+@pytest.mark.parametrize("optical_cutoff, magnon_cutoff, temperatures", [
+    *[(c, c, (0.002, 0.05, 0.3, 1.0)) for c in range(1, 6)],
+    (3, 12, (0.002, 0.05, 0.3, 1.0)),
+    (3, 18, (0.005, 0.5)),  # 0.005 K: nonzero weights up to n = 11, zero from n = 12
+    (2, 4, (0.3,)),
+])
+def test_corner_overlay_is_bit_equal_to_the_whole_block_overlay(
+        optical_cutoff, magnon_cutoff, temperatures):
+    cfg = ProtocolConfig(optical_cutoff=optical_cutoff, magnon_cutoff=magnon_cutoff,
+                         propagation_transmissivity_b=0.8, stokes_probability_b=0.02)
+    blocks, _, corner = _optical_front(cfg)
+    assert corner == (min(optical_cutoff, magnon_cutoff) + 1,) * 2
+    dims = cfg.magnon_registry().dims
+    underflowed = False
+    for temperature in temperatures:
+        nbar = replace(cfg, temperature_k=temperature).mean_thermal_magnons
+        underflowed |= bool(np.any(geometric_weights(nbar, magnon_cutoff) == 0.0))
+        got, leak = _thermal_overlay(blocks, nbar, dims, corner)
+        expected, expected_leak = _whole_block_overlay(blocks, nbar, dims)
+        assert got.tobytes() == expected.tobytes()
+        assert leak == expected_leak
+    assert underflowed == (magnon_cutoff >= 5)
 
 
 def test_engine_peak_memory_stays_below_one_dense_front_matrix():
