@@ -177,17 +177,23 @@ def phase_shift_unitary(mode: str, angle: float, registry: ModeRegistry) -> Mode
     return embed_single_mode(registry, mode, block)
 
 
-def _loss_kraus_blocks(cutoff: int, transmissivity: float) -> list[np.ndarray]:
-    """Kraus blocks of the pure-loss map: lose k quanta with binomial weight."""
-    d = cutoff + 1
-    eta = transmissivity
-    blocks = []
+def loss_kraus_operators(registry: ModeRegistry, mode: str, transmissivity: float) -> list:
+    """Kraus operators of the pure-loss map on one mode, lifted to the registry as CSR
+    matrices: operator k loses k quanta with binomial weight, k = 0..cutoff.  The lossless
+    map (transmissivity 1) has none to apply: the list is empty and `loss_kraus_sum`
+    returns its input untouched."""
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ChannelError(f"transmissivity {transmissivity!r} outside [0, 1]")
+    if transmissivity == 1.0:
+        return []
+    d, eta = registry.cutoff_of(mode) + 1, transmissivity
+    kraus = []
     for k in range(d):
         block = np.zeros((d, d), dtype=complex)
         for n in range(k, d):
             block[n - k, n] = math.sqrt(math.comb(n, k) * (eta ** (n - k)) * ((1 - eta) ** k))
-        blocks.append(block)
-    return blocks
+        kraus.append(embed_single_mode(registry, mode, block).matrix)
+    return kraus
 
 
 def loss_channel(rho: DensityOperator, mode: str, transmissivity: float) -> DensityOperator:
@@ -198,21 +204,17 @@ def loss_channel(rho: DensityOperator, mode: str, transmissivity: float) -> Dens
     environment.  It is applied as the equivalent binomial Kraus sum,
     without enlarging the space; the test suite cross-checks the two.
     """
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ChannelError(f"transmissivity {transmissivity!r} outside [0, 1]")
-    return DensityOperator(rho.registry,
-                           loss_kraus_sum(rho.matrix, rho.registry, mode, transmissivity))
+    kraus = loss_kraus_operators(rho.registry, mode, transmissivity)
+    return DensityOperator(rho.registry, loss_kraus_sum(rho.matrix, kraus))
 
 
-def loss_kraus_sum(matrices: np.ndarray, registry: ModeRegistry, mode: str,
-                   transmissivity: float) -> np.ndarray:
-    """Binomial Kraus sum of the pure-loss map on a matrix or a stack of matrices."""
-    cutoff = registry.cutoff_of(mode)
-    if transmissivity == 1.0:
+def loss_kraus_sum(matrices: np.ndarray, kraus: list) -> np.ndarray:
+    """Sum of ``K x K+`` over the `loss_kraus_operators` ``kraus``, on a matrix or a stack."""
+    if not kraus:
         return matrices
     out = np.zeros_like(matrices)
-    for block in _loss_kraus_blocks(cutoff, transmissivity):
-        out += sandwich(embed_single_mode(registry, mode, block).matrix, matrices)
+    for op in kraus:
+        out += sandwich(op, matrices)
     return out
 
 

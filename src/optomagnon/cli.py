@@ -45,7 +45,6 @@ from .channels import DetectorSpec
 from .fock import FockSpaceError, _lift, fidelity_with_pure
 from .protocol import (
     THERMAL_SWEEP_FIELDS,
-    WITNESS_DIVERGENCE_EPSILON,
     HeraldError,
     ProtocolConfig,
     ProtocolError,
@@ -55,9 +54,9 @@ from .protocol import (
     entangle_sweep,
     exact_joint_statistics,
     exact_phase_statistics,
+    exact_witness_ratio,
     ideal_target_state,
     separable_baseline,
-    witness_ratio,
 )
 
 logger = logging.getLogger("optomagnon")
@@ -272,7 +271,7 @@ def run_witness_sweep(config: ProtocolConfig, fmt: str, out: TextIO, trials: int
         if trials > 0:
             counts = montecarlo.sample_counts(config, trials, stream_tags=(k,), statistics=stats)
             try:
-                mc = montecarlo.estimate_witness({point.delta_phi: counts}, detector)[0]
+                mc = montecarlo.estimate_witness(counts, detector, point.delta_phi)
             except montecarlo.EstimatorError:
                 row += [None] * 6
             else:
@@ -336,16 +335,14 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
         rows.append((name, exact, est.value, sigma,
                      bool(abs(est.value - exact) <= ORACLE_SIGMAS * sigma)))
 
-    exact_rm, exact_div = witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1),
-                                        WITNESS_DIVERGENCE_EPSILON)
+    exact_rm, exact_div = exact_witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1))
     try:
-        mc_point = montecarlo.estimate_witness(
-            {config.read_phase_rad: counts}, stokes_detector=1)[0]
+        mc_point = montecarlo.estimate_witness(counts, 1, config.read_phase_rad)
     except montecarlo.EstimatorError:
         mc_point = None
     if mc_point is None:
         rows.append(("R_m", exact_rm, None, None, False))
-    elif exact_div or mc_point.divergent or mc_point.r_m_error is None:
+    elif exact_div or mc_point.divergent:  # only a divergent estimate has no r_m_error
         rows.append(("R_m", exact_rm, mc_point.r_m, float("nan"),
                      bool(exact_div == mc_point.divergent)))
     else:

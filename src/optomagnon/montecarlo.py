@@ -3,16 +3,16 @@
 Each run of the protocol has the same pre-detection state, so its detector
 outcome distribution is computed once exactly and trials are drawn i.i.d.
 from it (ancestral sampling of the measurement outcomes).  That makes this
-module a pure statistics layer: it validates the counting estimators
-against the exact engine rather than re-deriving the physics.
+module a pure statistics layer, checked against the exact engine: its
+witness estimate is ``protocol.witness_ratio`` of the estimated g2 values.
 
 Trials are drawn in chunks and each chunk is folded into a 4x4 count table
 over (Stokes, anti-Stokes) click categories, the sufficient statistic the
-estimators read.  ``write_records`` streams chunks to a sink as CSV or
-JSON without holding the run and builds no per-trial Python object: each
-chunk's text is assembled as numpy bytes.  Per-trial ``ClickRecord``
-objects exist only in the library's record-list API (``sample_trials``,
-``records_to_csv``).
+estimators read: one table per read phase.  ``write_records`` streams chunks
+to a sink as CSV or JSON without holding the run and builds no per-trial
+Python object: each chunk's text is assembled as numpy bytes.  Per-trial
+``ClickRecord`` objects exist only in the library's record-list API
+(``sample_trials``, ``records_to_csv``).
 
 Reproducibility contract: the master seed is the config's ``rng_seed``, the
 only seed the samplers read.  It is expanded into fixed-size chunk streams
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -224,34 +224,30 @@ def estimate_g2(counts: np.ndarray, anti_detector: int,
     return EstimateWithError(value=value, standard_error=value * rel, n_trials=n)
 
 
-def estimate_witness(counts_by_phase: Mapping[float, np.ndarray],
-                     stokes_detector: int) -> list[WitnessPoint]:
-    """Witness estimates over a phase grid of count tables, with delta-method errors.
+def estimate_witness(counts: np.ndarray, stokes_detector: int, delta_phi: float) -> WitnessPoint:
+    """Witness estimate of the count table of one read phase, with delta-method errors.
 
-    A point is flagged divergent when the estimated denominator
-    (g2_A1 - g2_A2) lies within two standard errors of zero; flagged
-    points carry an infinite value instead of a NaN.
+    The point is flagged divergent when the estimated denominator
+    (g2_A1 - g2_A2) lies within two standard errors of zero; a flagged
+    point carries an infinite value and no error instead of a NaN.
     """
-    points = []
-    for delta_phi, counts in counts_by_phase.items():
-        est1 = estimate_g2(counts, 1, stokes_detector)
-        est2 = estimate_g2(counts, 2, stokes_detector)
-        g1, g2 = est1.value, est2.value
-        s1, s2 = est1.standard_error, est2.standard_error
-        diff = g1 - g2
-        if abs(diff) < 2.0 * math.hypot(s1, s2):
-            value, divergent, sigma = math.inf, True, None
-        else:
-            value, divergent = witness_ratio(g1, g2, epsilon=0.0)
-            d_g1 = 4.0 / diff**2 - 8.0 * (g1 + g2 - 1.0) / diff**3
-            d_g2 = 4.0 / diff**2 + 8.0 * (g1 + g2 - 1.0) / diff**3
-            sigma = math.sqrt((d_g1 * s1) ** 2 + (d_g2 * s2) ** 2)
-        points.append(WitnessPoint(
-            delta_phi=float(delta_phi), stokes_detector=stokes_detector,
-            g2_a1=g1, g2_a2=g2, r_m=value, divergent=divergent,
-            g2_a1_error=s1, g2_a2_error=s2, r_m_error=sigma,
-            n_trials=est1.n_trials))
-    return points
+    est1 = estimate_g2(counts, 1, stokes_detector)
+    est2 = estimate_g2(counts, 2, stokes_detector)
+    g1, g2 = est1.value, est2.value
+    s1, s2 = est1.standard_error, est2.standard_error
+    diff = g1 - g2
+    if abs(diff) < 2.0 * math.hypot(s1, s2):
+        value, divergent, sigma = math.inf, True, None
+    else:
+        value, divergent = witness_ratio(g1, g2), False
+        d_g1 = 4.0 / diff**2 - 8.0 * (g1 + g2 - 1.0) / diff**3
+        d_g2 = 4.0 / diff**2 + 8.0 * (g1 + g2 - 1.0) / diff**3
+        sigma = math.sqrt((d_g1 * s1) ** 2 + (d_g2 * s2) ** 2)
+    return WitnessPoint(
+        delta_phi=float(delta_phi), stokes_detector=stokes_detector,
+        g2_a1=g1, g2_a2=g2, r_m=value, divergent=divergent,
+        g2_a1_error=s1, g2_a2_error=s2, r_m_error=sigma,
+        n_trials=est1.n_trials)
 
 
 # ---------------------------------------------------------------------------

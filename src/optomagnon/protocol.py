@@ -53,9 +53,9 @@ from .channels import (
     DetectorSpec,
     SqueezerSpec,
     SwapSpec,
-    _loss_kraus_blocks,
     beamsplitter_unitary,
     geometric_weights,
+    loss_kraus_operators,
     loss_kraus_sum,
     phase_shift_unitary,
     squeezer_vacuum_tail,
@@ -75,7 +75,6 @@ from .fock import (
     FockSpaceError,
     ModeRegistry,
     MultiModeState,
-    embed_single_mode,
     fidelity_with_pure,
     sandwich,
 )
@@ -343,10 +342,12 @@ def _support_step(op, support: np.ndarray, rho: np.ndarray):
     return rows, sandwich(cols[rows], rho)
 
 
-def _support_loss(registry: ModeRegistry, mode: str, eta: float, support, rho):
-    """Pure-loss Kraus sum on the support, added term by term onto the union of supports."""
-    terms = [_support_step(embed_single_mode(registry, mode, block).matrix, support, rho)
-             for block in _loss_kraus_blocks(registry.cutoff_of(mode), eta)]
+def _support_loss(kraus: list, support: np.ndarray, rho: np.ndarray):
+    """Kraus sum of the `loss_kraus_operators` ``kraus`` on the support, added term by term
+    onto the union of supports; the lossless (empty) list leaves the state as it is."""
+    if not kraus:
+        return support, rho
+    terms = [_support_step(op, support, rho) for op in kraus]
     union = np.unique(np.concatenate([rows for rows, _ in terms]))
     out = np.zeros((union.size, union.size), dtype=complex)
     for rows, term in terms:
@@ -425,8 +426,7 @@ def _optical_front(config: ProtocolConfig) -> tuple[np.ndarray, float, tuple[int
 
     for stokes, eta in ((STOKES_A, config.propagation_transmissivity_a),
                         (STOKES_B, config.propagation_transmissivity_b)):
-        if eta < 1.0:
-            support, rho = _support_loss(registry, stokes, eta, support, rho)
+        support, rho = _support_loss(loss_kraus_operators(registry, stokes, eta), support, rho)
     support, rho = _support_step(
         beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry).matrix, support, rho)
 
@@ -625,18 +625,23 @@ class JointStatistics:
             raise ProtocolError("stokes_detector must be 1 or 2")
         g2_a1 = self.g2_number(1, stokes_detector)
         g2_a2 = self.g2_number(2, stokes_detector)
-        value, divergent = witness_ratio(g2_a1, g2_a2, WITNESS_DIVERGENCE_EPSILON)
+        value, divergent = exact_witness_ratio(g2_a1, g2_a2)
         return WitnessPoint(
             delta_phi=self.delta_phi, stokes_detector=stokes_detector,
             g2_a1=g2_a1, g2_a2=g2_a2, r_m=value, divergent=divergent)
 
 
-def witness_ratio(g2_a1: float, g2_a2: float, epsilon: float) -> tuple[float, bool]:
-    """Witness value from the two cross-coherences; +inf with a flag when balanced."""
+def witness_ratio(g2_a1: float, g2_a2: float) -> float:
+    """Witness value 4 (g2_A1 + g2_A2 - 1) / (g2_A1 - g2_A2)^2 from the two cross-coherences."""
     diff = g2_a1 - g2_a2
-    if abs(diff) < epsilon:
-        return math.inf, True
-    return 4.0 * (g2_a1 + g2_a2 - 1.0) / (diff * diff), False
+    return 4.0 * (g2_a1 + g2_a2 - 1.0) / (diff * diff)
+
+
+def exact_witness_ratio(g2_a1: float, g2_a2: float) -> tuple[float, bool]:
+    """Witness value of two exact cross-coherences (number moments or click rates) and its
+    divergence flag: +inf, flagged, when they are balanced within WITNESS_DIVERGENCE_EPSILON."""
+    divergent = abs(g2_a1 - g2_a2) < WITNESS_DIVERGENCE_EPSILON
+    return (math.inf if divergent else witness_ratio(g2_a1, g2_a2)), divergent
 
 
 class _ReadOptics:
@@ -645,12 +650,12 @@ class _ReadOptics:
     On (magnon A, magnon B, anti-Stokes A, anti-Stokes B) each read stage
     computes only the blocks its successor reads.  The swaps make the
     magnon-diagonal blocks one magnon-B level at a time, both anti-Stokes
-    losses run as whole Kraus sums on each level, and only then are its
-    anti-Stokes-photon-number-shell-diagonal blocks gathered: the closing
-    beamsplitter conserves the photon number and the detectors read only its
-    output diagonals.  Stage operators are row/column slices of CSR matrices
-    embedded on the modes the stage touches, so kept elements match the
-    full-space sandwich bit for bit.
+    losses run as whole Kraus sums on each level (their operators lifted once,
+    before the first), and only then are its anti-Stokes-photon-number-shell-
+    diagonal blocks gathered: the closing beamsplitter conserves the photon
+    number and the detectors read only its output diagonals.  Stage operators
+    are row/column slices of CSR matrices embedded on the modes the stage
+    touches, so kept elements match the full-space sandwich bit for bit.
     """
 
     def __init__(self, config: ProtocolConfig, rho: np.ndarray):
@@ -664,10 +669,9 @@ class _ReadOptics:
         self._closing = [closing_bs[idx][:, idx] for idx in self.shells]
         # the phase-independent decay, swaps and losses of the stack ``rho``,
         # as blocks [sector, n_magnon_a, n_magnon_b, anti-Stokes shell^2]
-        if config.magnon_decay_delay_ratio > 0.0:  # before the anti-Stokes vacuum is adjoined
-            survival = math.exp(-config.magnon_decay_delay_ratio)
-            for label in (MAGNON_A, MAGNON_B):
-                rho = loss_kraus_sum(rho, config.magnon_registry(), label, survival)
+        survival = math.exp(-config.magnon_decay_delay_ratio)  # 1, lossless, without decay
+        for label in (MAGNON_A, MAGNON_B):  # before the anti-Stokes vacuum is adjoined
+            rho = loss_kraus_sum(rho, loss_kraus_operators(config.magnon_registry(), label, survival))
         # swap A on (magnon A, magnon B, anti-Stokes A): anti-Stokes-vacuum
         # columns in; out, one magnon-A level of rows at a time
         arm_a = ModeRegistry.of((MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co))
@@ -685,11 +689,12 @@ class _ReadOptics:
         self.fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex)
                       for idx in self.shells]
         d = self.antistokes.dimension
+        losses = [loss_kraus_operators(self.antistokes, ANTISTOKES_A, config.propagation_transmissivity_a),
+                  loss_kraus_operators(self.antistokes, ANTISTOKES_B, config.propagation_transmissivity_b)]
         for b in range(cm + 1):
             level = sandwich(swap_b[b * d:(b + 1) * d], rho)
-            for label, eta in ((ANTISTOKES_A, config.propagation_transmissivity_a),
-                               (ANTISTOKES_B, config.propagation_transmissivity_b)):
-                level = loss_kraus_sum(level, self.antistokes, label, eta)
+            for kraus in losses:
+                level = loss_kraus_sum(level, kraus)
             for idx, fixed in zip(self.shells, self.fixed):
                 fixed[:, :, b] = level[..., idx[:, None], idx]
 

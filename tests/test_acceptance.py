@@ -26,13 +26,13 @@ from optomagnon.protocol import (
     closed_form_fidelity,
     entangle_stage,
     exact_joint_statistics,
+    exact_witness_ratio,
     ideal_target_state,
     mean_thermal_occupation,
     read_stage,
     separable_baseline,
     thermal_final_state,
     witness_exact,
-    witness_ratio,
 )
 
 # engine-derived regression value for the witness minimum at the reference
@@ -185,8 +185,8 @@ def test_criterion_8_monte_carlo_matches_exact_engine():
             est = estimate_g2(counts, anti, 1)
             assert abs(est.value - stats.g2_click(anti, 1)) <= 4.0 * est.standard_error
 
-        point = estimate_witness({cfg.read_phase_rad: counts}, stokes_detector=1)[0]
-        exact_rm, exact_div = witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1), 1e-12)
+        point = estimate_witness(counts, 1, cfg.read_phase_rad)
+        exact_rm, exact_div = exact_witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1))
         assert not exact_div and not point.divergent
         assert abs(point.r_m - exact_rm) <= 4.0 * point.r_m_error
 

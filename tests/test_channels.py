@@ -15,6 +15,8 @@ from optomagnon.channels import (
     click_measurement,
     click_povm_diagonals,
     loss_channel,
+    loss_kraus_operators,
+    loss_kraus_sum,
     phase_shift_unitary,
     swap_coupler_unitary,
     thermal_state,
@@ -258,6 +260,24 @@ def test_loss_rejects_bad_transmissivity():
     rho = MultiModeState.vacuum(reg).to_density()
     with pytest.raises(ChannelError):
         loss_channel(rho, "x", 1.5)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 1.2, -0.5])
+def test_every_loss_entry_rejects_a_transmissivity_outside_the_unit_interval(eta):
+    reg = ModeRegistry.of(("a", 2), ("b", 1))
+    rho = _random_density(reg, 5)
+    message = rf"transmissivity {eta!r} outside \[0, 1\]"
+    with pytest.raises(ChannelError, match=message):
+        loss_kraus_sum(rho.matrix, loss_kraus_operators(reg, "a", eta))
+    with pytest.raises(ChannelError, match=message):
+        loss_channel(rho, "a", eta)
+
+
+def test_lossless_kraus_sum_returns_its_input():
+    reg = ModeRegistry.of(("a", 2), ("b", 1))
+    matrix = _random_density(reg, 6).matrix
+    assert loss_kraus_operators(reg, "a", 1.0) == []
+    assert loss_kraus_sum(matrix, loss_kraus_operators(reg, "a", 1.0)) is matrix
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,23 @@ def test_oracle_compare_single_trial_report_is_well_formed(tmp_path):
     assert code in (EXIT_OK, 5)
 
 
+@pytest.mark.parametrize("trials, code, row", [
+    # too few counts for an estimate
+    (300, EXIT_ORACLE_FAILURE, "R_m,0.1500048747349587,,,false"),
+    # the estimated denominator lies within two standard errors of zero
+    (1000, EXIT_ORACLE_FAILURE, "R_m,0.1500048747349587,inf,nan,false"),
+    (3000, EXIT_OK, "R_m,0.1500048747349587,0.14991600000000002,0.06174991835497761,true"),
+])
+def test_oracle_r_m_row_is_pinned_in_each_branch(tmp_path, trials, code, row):
+    cfg = _write(tmp_path, "counting.cfg", COUNTING_CFG)
+    out = tmp_path / "oc.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _run(["oracle-compare", "--config", cfg, "--trials", str(trials), "--seed", "1",
+                     "--out", str(out)]) == code
+    assert out.read_text().splitlines()[-1] == row
+
+
 def test_mc_run_bytes_are_pinned(tmp_path):
     # sha256 of these records as the per-record sampler wrote them, before
     # sampling moved to chunked count tables and streamed output

@@ -31,7 +31,7 @@ from optomagnon.montecarlo import (
     sample_trials,
     write_records,
 )
-from optomagnon.protocol import ProtocolConfig, exact_joint_statistics, witness_ratio
+from optomagnon.protocol import ProtocolConfig, exact_joint_statistics, exact_witness_ratio
 
 
 def _boosted_config(**overrides):
@@ -104,15 +104,12 @@ def test_g2_zero_marginals_raise():
 def test_witness_estimate_brackets_exact_value():
     cfg = _boosted_config()
     n = 80_000
-    counts_by_phase = {}
     for k, phi in enumerate((math.pi / 2, 2.3)):
         cfg_phi = replace(cfg, read_phase_rad=phi, rng_seed=31)
-        counts_by_phase[phi] = count_table(sample_trials(cfg_phi, n, stream_tags=(k,)))
-    points = estimate_witness(counts_by_phase, stokes_detector=1)
-    for point in points:
+        point = estimate_witness(count_table(sample_trials(cfg_phi, n, stream_tags=(k,))), 1, phi)
         assert not point.divergent
         stats = exact_joint_statistics(replace(cfg, read_phase_rad=point.delta_phi))
-        exact, _ = witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1), 1e-12)
+        exact, _ = exact_witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1))
         assert abs(point.r_m - exact) <= 4 * point.r_m_error
         assert point.r_m < 1.0  # entangled state detected from counts alone
 
@@ -125,7 +122,7 @@ def test_witness_estimate_flags_balanced_denominator():
                     ("detector1", "detector2")[rng.integers(2)] if rng.random() < 0.3 else "none")
         for i in range(20_000)
     ]
-    point = estimate_witness({0.0: count_table(records)}, stokes_detector=1)[0]
+    point = estimate_witness(count_table(records), 1, 0.0)
     assert point.divergent
     assert math.isinf(point.r_m)
 
@@ -165,7 +162,7 @@ def test_no_nan_in_any_estimate():
     for anti in (1, 2):
         est = estimate_g2(counts, anti, 1)
         assert math.isfinite(est.value) and math.isfinite(est.standard_error)
-    point = estimate_witness({cfg.read_phase_rad: counts}, stokes_detector=1)[0]
+    point = estimate_witness(counts, 1, cfg.read_phase_rad)
     assert not math.isnan(point.r_m)
     assert not math.isnan(point.g2_a1) and not math.isnan(point.g2_a2)
     if point.r_m_error is not None:

@@ -16,11 +16,11 @@ from optomagnon.channels import (
     SqueezerSpec,
     SwapSpec,
     TruncationError,
-    _loss_kraus_blocks,
     beamsplitter_unitary,
     click_measurement,
     geometric_weights,
     loss_channel,
+    loss_kraus_operators,
     phase_shift_unitary,
     squeezer_vacuum_tail,
     swap_coupler_unitary,
@@ -516,8 +516,8 @@ class _DenseReadOptics:
         if eta == 1.0:
             return rho
         out = np.zeros_like(rho)
-        for block in _loss_kraus_blocks(self.registry.cutoff_of(mode), eta):
-            out += self._sandwich(embed_single_mode(self.registry, mode, block).matrix, rho)
+        for op in loss_kraus_operators(self.registry, mode, eta):
+            out += self._sandwich(op, rho)
         return out
 
     def fixed_evolution(self, rho_magnons):

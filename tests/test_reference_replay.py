@@ -3,8 +3,9 @@
 ``perfbench/reference/<workload>.json`` holds, per op kind, the config text,
 the argv and the output (or, for ``mc-run``, its sha256) that the CLI wrote
 at the default benchmark seed.  Replaying every stored op through
-``cli.main`` with the benchmark's own argv must reproduce those bytes, and
-every function the benchmark's tracer wraps must still exist by name.
+``cli.main`` with the benchmark's own argv must reproduce those bytes, a
+replayed op must lift each stage operator once (no hit in ``fock._lift``),
+and every function the benchmark's tracer wraps must still exist by name.
 This file only reads ``perfbench/``.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from optomagnon import fock
 from optomagnon.cli import EXIT_OK, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,6 +51,13 @@ def _replay(tmp_path, op):
                                 for name, index, op in STORED_OPS if index == 0])
 def test_first_stored_op_of_every_kind_is_byte_identical(tmp_path, op):
     _replay(tmp_path, op)
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=name)
+                                for name, index, op in STORED_OPS if index == 0])
+def test_each_command_lifts_each_stage_operator_once(tmp_path, op):
+    _replay(tmp_path, op)
+    assert fock._lift.cache_info().hits == 0
 
 
 @pytest.mark.parametrize("op", [pytest.param(op, id=f"{name}-{index}")
