@@ -283,7 +283,7 @@ def click_measurement(rho: DensityOperator, mode: str, spec: DetectorSpec) -> Cl
     no_click_diag, click_diag = click_povm_diagonals(rho, mode, spec)
     diag_rho = rho.occupation_probabilities()
     p_noclick = float(np.dot(diag_rho, no_click_diag))
-    p_click = float(np.dot(diag_rho, click_diag))
+    p_click = min(max(float(np.dot(diag_rho, click_diag)), 0.0), 1.0)  # rounding may pass 1
 
     keep = [label for label in rho.registry.labels if label != mode]
 

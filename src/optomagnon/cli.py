@@ -11,10 +11,11 @@ Commands
 it reads; a command given any other of those flags rejects it.  Every
 command is deterministic given (config file, seed): reruns produce
 identical bytes.  ``--workers`` is accepted and changes nothing.  Each
-command lifts each distinct stage operator once and builds the optics before
-the thermal step once: the points of a ``fidelity-sweep`` (``entangle_sweep``)
-run only the thermal step and the herald, except under ``squeezed_thermal``,
-where the occupation seeds the squeezers.  Commands share none of it.
+command builds each stage operator once, and the optics before the thermal
+step once: the points of a ``fidelity-sweep`` (``entangle_sweep``) run only
+the thermal step and the herald, except under ``squeezed_thermal``, where the
+occupation seeds the squeezers and each point carries its own state through
+the same operators.  Commands share none of it.
 Config keys and their types are read off ``ProtocolConfig`` (``detector.*``
 for its detector), and a key given twice is a parse error.  ``--out`` is
 replaced only when the command finishes, so a failing command leaves an
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import montecarlo
 from .channels import DetectorSpec
-from .fock import FockSpaceError, _lift, fidelity_with_pure
+from .fock import FockSpaceError, fidelity_with_pure
 from .protocol import (
     THERMAL_SWEEP_FIELDS,
     HeraldError,
@@ -144,7 +145,7 @@ def load_config(path: Optional[str]) -> ProtocolConfig:
     if path is None:
         return ProtocolConfig()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config {path!r}: {exc}") from exc
@@ -419,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _lift.cache_clear()  # a command costs what it would in a fresh process
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    level = logger.level  # restored on return, for a caller that set its own
+    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         runner, reads = COMMANDS[args.command]
         flags = {name: getattr(args, name) for _, names in COMMANDS.values() for name in names
@@ -452,6 +453,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FockSpaceError, montecarlo.EstimatorError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
+    finally:
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

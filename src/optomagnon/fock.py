@@ -14,7 +14,6 @@ threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -291,21 +290,15 @@ def _digits(registry: ModeRegistry, labels: Sequence[str]) -> tuple[np.ndarray, 
 
 def _embed_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray) -> ModeOperator:
     """Lift a matrix on distinct modes (row-major in their occupations) to the full space.
-    Lifts are memoized on the block's bytes and shared, so their CSR arrays are read-only."""
+    Each call builds and returns a fresh operator."""
     if len(set(labels)) != len(labels):
         raise FockSpaceError(f"a block needs distinct modes, got {tuple(labels)}")
-    dims = tuple(registry.dims[registry.axis_of(label)] for label in labels)
-    block = np.asarray(block, dtype=complex)
-    if block.shape != (math.prod(dims),) * 2:
-        raise RegistryMismatchError(f"block shape {block.shape} does not match modes {tuple(labels)}")
-    return _lift(registry, tuple(labels), block.shape[0], block.tobytes())
-
-
-@functools.lru_cache(maxsize=128)
-def _lift(registry: ModeRegistry, labels: tuple[str, ...], size: int, data: bytes) -> ModeOperator:
-    block = np.frombuffer(data, dtype=complex).reshape(size, size)
     axes = [registry.axis_of(label) for label in labels]
     dims = tuple(registry.dims[axis] for axis in axes)
+    block = np.asarray(block, dtype=complex)
+    size = math.prod(dims)
+    if block.shape != (size, size):
+        raise RegistryMismatchError(f"block shape {block.shape} does not match modes {tuple(labels)}")
     strides = [registry.strides[axis] for axis in axes]
     digits = _digits(registry, labels)
     rest = np.arange(registry.dimension) - sum(n * stride for n, stride in zip(digits, strides))
@@ -315,10 +308,7 @@ def _lift(registry: ModeRegistry, labels: tuple[str, ...], size: int, data: byte
     brows, keep = np.nonzero(vals)
     mat = sp.coo_matrix((vals[brows, keep], (out_rows[brows] + rest[keep], keep)),
                         shape=(registry.dimension, registry.dimension))
-    op = ModeOperator(registry, mat.tocsr())
-    for array in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
-        array.flags.writeable = False
-    return op
+    return ModeOperator(registry, mat.tocsr())
 
 
 def embed_single_mode(registry: ModeRegistry, label: str, block: np.ndarray) -> ModeOperator:

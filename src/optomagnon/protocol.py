@@ -390,24 +390,16 @@ def _product_thermal(nbar: float, cutoff: int) -> np.ndarray:
     return np.kron(np.diag(w), np.diag(w)).astype(complex)
 
 
-def _optical_front(config: ProtocolConfig) -> tuple[np.ndarray, float, tuple[int, int]]:
-    """The entangling optics up to (not including) the herald detectors, before the thermal
-    step: the state is carried on its support up to the herald beamsplitter, then split into
-    Stokes sectors.  Returns the read-only sector stack, the squeezer-tail truncation and
-    the magnon corner (levels below it per mode) outside which the stack is zero.  The
-    temperature is read only when ``squeezed_thermal`` seeds the squeezers."""
+def _front_optics(config: ProtocolConfig) -> tuple[list, float]:
+    """The operators of the entangling optics up to (not including) the herald detectors, in
+    order, and the squeezer-tail truncation.  A unitary step is its CSR matrix, a loss step
+    its `loss_kraus_operators` list.  None of them reads the temperature."""
     co, cm = config.optical_cutoff, config.magnon_cutoff
     registry = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
-    d_m = (cm + 1) ** 2
-
-    if _seeded_thermal(config):  # on the magnon block of Stokes sector (0, 0)
-        support, rho = np.arange(d_m), _product_thermal(config.mean_thermal_magnons, cm)
-    else:
-        support, rho = np.arange(1), np.ones((1, 1), dtype=complex)
 
     # classical pump amplitudes per arm after the symmetric 50/50 splitter
     alpha = math.sqrt(config.pulse_mean_photons)
-    truncation = 0.0
+    steps, truncation = [], 0.0
     for stokes, magnon, pair_prob, pump in (
         (STOKES_A, MAGNON_A, config.pair_probability_a, alpha / math.sqrt(2.0)),
         (STOKES_B, MAGNON_B, config.pair_probability_b, 1j * alpha / math.sqrt(2.0)),
@@ -416,19 +408,38 @@ def _optical_front(config: ProtocolConfig) -> tuple[np.ndarray, float, tuple[int
             continue
         spec = SqueezerSpec.from_pair_probability(stokes, magnon, pair_prob)
         truncation += squeezer_vacuum_tail(spec, registry)
-        support, rho = _support_step(two_mode_squeezer_unitary(spec, registry).matrix, support, rho)
+        steps.append(two_mode_squeezer_unitary(spec, registry).matrix)
         # the scattered field inherits the pump phase, shifted by the
         # -i of the interaction generator
         pair_phase = np.angle(pump) - math.pi / 2.0
         if pair_phase != 0.0:
-            support, rho = _support_step(
-                phase_shift_unitary(stokes, pair_phase, registry).matrix, support, rho)
+            steps.append(phase_shift_unitary(stokes, pair_phase, registry).matrix)
 
     for stokes, eta in ((STOKES_A, config.propagation_transmissivity_a),
                         (STOKES_B, config.propagation_transmissivity_b)):
-        support, rho = _support_loss(loss_kraus_operators(registry, stokes, eta), support, rho)
-    support, rho = _support_step(
-        beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry).matrix, support, rho)
+        steps.append(loss_kraus_operators(registry, stokes, eta))
+    steps.append(beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry).matrix)
+    return steps, truncation
+
+
+def _optical_front(config: ProtocolConfig,
+                   optics: Optional[tuple[list, float]] = None) -> tuple[np.ndarray, float, tuple[int, int]]:
+    """The entangling optics up to (not including) the herald detectors, before the thermal
+    step: the state is carried on its support through the ``_front_optics`` steps (given as
+    ``optics``, or built here), then split into Stokes sectors.  Returns the read-only
+    sector stack, the squeezer-tail truncation and the magnon corner (levels below it per
+    mode) outside which the stack is zero.  The temperature is read only when
+    ``squeezed_thermal`` seeds the squeezers."""
+    steps, truncation = _front_optics(config) if optics is None else optics
+    co, cm = config.optical_cutoff, config.magnon_cutoff
+    d_m = (cm + 1) ** 2
+
+    if _seeded_thermal(config):  # on the magnon block of Stokes sector (0, 0)
+        support, rho = np.arange(d_m), _product_thermal(config.mean_thermal_magnons, cm)
+    else:
+        support, rho = np.arange(1), np.ones((1, 1), dtype=complex)
+    for step in steps:
+        support, rho = (_support_loss if isinstance(step, list) else _support_step)(step, support, rho)
 
     blocks = np.zeros((co + 1, co + 1, d_m, d_m), dtype=complex)
     sector, magnons = np.divmod(support, d_m)
@@ -504,17 +515,18 @@ def entangle_sweep(config: ProtocolConfig, field: str,
     ``THERMAL_SWEEP_FIELDS``), as (point config, heralded state) pairs.  Under
     ``mixture_overlay`` the optical front does not read the temperature, so it is built
     once and only the thermal step and the herald run per point; ``squeezed_thermal``
-    seeds the squeezers with each point's occupation and builds a front per point."""
+    seeds the squeezers with each point's occupation, so each point carries its own state
+    through the front's operators, which are built once."""
     if field not in THERMAL_SWEEP_FIELDS:
         raise ProtocolError(f"a thermal sweep varies one of {THERMAL_SWEEP_FIELDS}, not {field!r}")
     if field == "temperature_k" and config.nbar_override is not None:
         raise ProtocolError("sweeping temperature_k changes nothing while nbar_override is set "
                             "(nbar_override takes precedence); sweep nbar_override or unset it")
-    points, optical = [], None
+    points, optics, optical = [], _front_optics(config), None
     for value in values:
         cfg = replace(config, **{field: float(value)})
         if optical is None or cfg.thermal_model == "squeezed_thermal":
-            optical = _optical_front(cfg)
+            optical = _optical_front(cfg, optics)
         points.append((cfg, _herald(cfg, _thermal_step(cfg, optical))))
     return points
 

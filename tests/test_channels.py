@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from optomagnon.channels import (
     BeamsplitterSpec,
@@ -321,6 +324,13 @@ def test_click_certainties():
     assert out_vac.rho_click is None  # conditioning on an impossible event
 
 
+def test_click_probability_stays_in_the_unit_interval():
+    # the dot product of this trace-one diagonal with all-click weights rounds to 1 + 2**-52
+    reg = ModeRegistry.of(("x", 2), ("y", 2))
+    plus = DensityOperator(reg, np.full((9, 9), 1 / 9, dtype=complex))
+    assert click_measurement(plus, "x", DetectorSpec(dark_click_probability=1.0)).p_click == 1.0
+
+
 def test_click_partial_efficiency():
     reg = ModeRegistry.of(("x", 3), ("y", 1))
     two = MultiModeState.from_occupation(reg, (2, 0)).to_density()
@@ -341,3 +351,51 @@ def test_click_povm_completeness_and_darks():
 
     with pytest.raises(ChannelError):
         DetectorSpec(efficiency=1.2)
+
+
+# ---------------------------------------------------------------------------
+# every channel keeps a density a density
+
+
+@st.composite
+def _two_mode_densities(draw):
+    """``F F+ / tr(F F+)`` of a complex factor ``F`` with 1-16 columns, first scaled to a
+    largest entry of modulus 1 so that no product underflows."""
+    reg = ModeRegistry.of(("a", draw(st.integers(1, 3))), ("b", draw(st.integers(1, 3))))
+    rank = draw(st.integers(1, 16))
+    parts = draw(arrays(np.float64, (2, reg.dimension, rank), elements=st.floats(-1.0, 1.0)))
+    largest = np.hypot(parts[0], parts[1]).max()
+    assume(largest > 0.0)
+    factor = (parts[0] / largest) + 1j * (parts[1] / largest)
+    m = factor @ factor.conj().T
+    return DensityOperator(reg, m / np.trace(m)).check()
+
+
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rho=_two_mode_densities(), modes=st.sampled_from((("a", "b"), ("b", "a"))),
+       mixing_angle=_ANGLE, relative_phase=_ANGLE, swap_angle=st.floats(0.0, math.pi / 2),
+       phase=_ANGLE, squeeze_parameter=_UNIT, transmissivity=_UNIT, efficiency=_UNIT,
+       dark_click_probability=_UNIT)
+def test_every_channel_keeps_a_density_a_density(rho, modes, mixing_angle, relative_phase,
+                                                 swap_angle, phase, squeeze_parameter,
+                                                 transmissivity, efficiency, dark_click_probability):
+    reg, (first, second) = rho.registry, modes
+    unitaries = [beamsplitter_unitary(BeamsplitterSpec(first, second, mixing_angle, relative_phase), reg),
+                 swap_coupler_unitary(SwapSpec(first, second, swap_angle), reg),
+                 phase_shift_unitary(first, phase, reg)]
+    try:  # a squeezer tail past its bound is the only allowed failure
+        unitaries.append(two_mode_squeezer_unitary(SqueezerSpec(first, second, squeeze_parameter), reg))
+    except TruncationError:
+        pass
+    for unitary in unitaries:
+        apply_unitary(rho, unitary).check()
+    loss_channel(rho, first, transmissivity).check()
+    out = click_measurement(rho, first, DetectorSpec(efficiency, dark_click_probability))
+    assert 0.0 <= out.p_click <= 1.0
+    for branch in (out.rho_click, out.rho_noclick):
+        if branch is not None:
+            branch.check()

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from optomagnon import fock
 from optomagnon.cli import (
     _FIELD_TYPES,
     EXIT_DOMAIN_ERROR,
@@ -134,6 +133,34 @@ def test_nbar_override_logs_notice(caplog):
     assert any("nbar_override" in message for message in caplog.messages)
 
 
+def test_verbose_logs_after_an_earlier_quiet_command(tmp_path, caplog, monkeypatch):
+    cfg = _write(tmp_path, "nbar.cfg", "nbar_override = 0.01\n")
+    argv = ["fidelity-sweep", "--config", cfg, "--sweep", "nbar_override:0.01:0.01:1",
+            "--out", str(tmp_path / "o.csv")]
+    package_logger = logging.getLogger("optomagnon")
+    monkeypatch.setattr(package_logger, "level", logging.DEBUG)  # the caller's own setting
+    logged = []
+    for extra in ([], ["--verbose"]):
+        caplog.clear()
+        assert _run(argv + extra) == EXIT_OK
+        logged.append([r.message for r in caplog.records if r.name == "optomagnon"])
+        assert package_logger.level == logging.DEBUG
+    assert logged[0] == []
+    assert any("nbar_override" in message for message in logged[1])
+
+
+def test_config_with_a_utf8_byte_order_mark_reads_as_without(tmp_path):
+    outs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(prefix + b"temperature_k = 0.2\n")
+        out = tmp_path / "o.csv"
+        assert _run(["witness-sweep", "--config", str(cfg), "--grid-points", "2",
+                     "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+
+
 def test_sweep_spec_parsing():
     sweep = SweepSpec.parse("temperature_k:0.05:0.1:3")
     assert sweep.count == 3
@@ -168,23 +195,18 @@ def test_fidelity_sweep_reference_rows(tmp_path):
     assert abs(float(row_100mk[3]) - float(row_100mk[4])) < 0.01
 
 
-def test_fidelity_sweep_lifts_nothing_after_its_first_point(tmp_path):
-    misses = []
-    for sweep in ("temperature_k:0.05:0.05:1", "temperature_k:0.05:0.15:3"):
-        assert _run(["fidelity-sweep", "--sweep", sweep, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
-        misses.append(fock._lift.cache_info().misses)
-    assert misses[0] > 0
-    assert misses[1] == misses[0]
-
-
-def test_each_command_lifts_afresh(tmp_path):
-    infos = []
-    for _ in range(2):
-        assert _run(["fidelity-sweep", "--sweep", "temperature_k:0.05:0.05:1",
-                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
-        infos.append(fock._lift.cache_info())
-    assert infos[0].misses > 0
-    assert infos[1] == infos[0]
+def test_fidelity_sweep_lifts_nothing_after_its_first_point(tmp_path, lifts):
+    for model in ("mixture_overlay", "squeezed_thermal"):
+        cfg = _write(tmp_path, "model.cfg", f"thermal_model = {model}\n")
+        runs = []
+        for sweep in ("temperature_k:0.05:0.05:1", "temperature_k:0.05:0.15:3"):
+            start = len(lifts)
+            assert _run(["fidelity-sweep", "--config", cfg, "--sweep", sweep,
+                         "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+            runs.append(lifts[start:])
+        assert runs[0], model
+        assert runs[1] == runs[0], model
+        assert len(set(runs[1])) == len(runs[1]), model
 
 
 def test_fidelity_sweep_zero_thermal_row(tmp_path):
