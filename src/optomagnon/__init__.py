@@ -17,7 +17,6 @@ from .fock import (
     UnknownModeError,
     annihilation,
     apply_unitary,
-    creation,
     expectation,
     fidelity_with_pure,
     number_operator,

@@ -20,7 +20,8 @@ Config keys and their types are read off ``ProtocolConfig`` (``detector.*``
 for its detector), and a key given twice is a parse error.  ``--out`` is
 replaced only when the command finishes, so a failing command leaves an
 existing file as it was.
-Exit codes: 0 success, 2 config parse error, 3 domain error (also an
+Exit codes: 0 success, 2 config parse error, 3 domain error (also a
+``ChannelError``, such as a squeezer past its truncation bound, and an
 ``--out`` that cannot be opened), 4 runtime error, 5 oracle-compare failure.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import math
@@ -42,10 +42,9 @@ from typing import Iterator, Optional, Sequence, TextIO, Union, get_args, get_or
 import numpy as np
 
 from . import montecarlo
-from .channels import DetectorSpec
+from .channels import ChannelError, DetectorSpec
 from .fock import FockSpaceError, fidelity_with_pure
 from .protocol import (
-    THERMAL_SWEEP_FIELDS,
     HeraldError,
     ProtocolConfig,
     ProtocolError,
@@ -152,36 +151,23 @@ def load_config(path: Optional[str]) -> ProtocolConfig:
     return parse_config_text(text)
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
-    field: str
-    start: float
-    stop: float
-    count: int
-
-    @classmethod
-    def parse(cls, text: str) -> "SweepSpec":
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise ConfigDomainError(f"sweep must be field:start:stop:count, got {text!r}")
-        field, start, stop, count = parts
-        if field not in THERMAL_SWEEP_FIELDS:
-            raise ConfigDomainError(
-                "fidelity-sweep sweeps 'temperature_k' or 'nbar_override' "
-                "(for a thermal-ratio sweep use nbar_override = S/(1-S))")
-        try:
-            start_f, stop_f, count_i = float(start), float(stop), int(count)
-        except ValueError as exc:
-            raise ConfigDomainError(f"bad sweep bounds in {text!r}") from exc
-        for name, value in (("start", start_f), ("stop", stop_f), ("stop - start", stop_f - start_f)):
-            if not math.isfinite(value):
-                raise ConfigDomainError(f"--sweep {field} must be finite, got {name} = {value!r}")
-        if count_i < 1:
-            raise ConfigDomainError("sweep count must be >= 1")
-        return cls(field, start_f, stop_f, count_i)
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+def parse_sweep(text: str) -> tuple[str, np.ndarray]:
+    """``field:start:stop:count`` as the field and its ``count`` evenly spaced values;
+    ``entangle_sweep`` checks the field."""
+    parts = text.split(":")
+    if len(parts) != 4:
+        raise ConfigDomainError(f"sweep must be field:start:stop:count, got {text!r}")
+    field, start, stop, count = parts
+    try:
+        start_f, stop_f, count_i = float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise ConfigDomainError(f"bad sweep bounds in {text!r}") from exc
+    for name, value in (("start", start_f), ("stop", stop_f), ("stop - start", stop_f - start_f)):
+        if not math.isfinite(value):
+            raise ConfigDomainError(f"--sweep {field} must be finite, got {name} = {value!r}")
+    if count_i < 1:
+        raise ConfigDomainError("sweep count must be >= 1")
+    return field, np.linspace(start_f, stop_f, count_i)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +211,14 @@ def run_fidelity_sweep(config: ProtocolConfig, fmt: str, out: TextIO,
     """Closed-form and pipeline fidelities over a thermal sweep (T or nbar)."""
     if not sweep:
         raise ConfigDomainError("fidelity-sweep requires --sweep")
-    spec = SweepSpec.parse(sweep)
-    columns = (spec.field, "nbar", "S", "F_closed_form", "F_pipeline")
+    field, values = parse_sweep(sweep)
+    columns = (field, "nbar", "S", "F_closed_form", "F_pipeline")
     rows = []
-    for cfg, heralded in entangle_sweep(config, spec.field, spec.values()):
+    for cfg, heralded in entangle_sweep(config, field, values):
         s = cfg.thermal_ratio
         target = ideal_target_state(heralded.herald_sign, cfg.magnon_cutoff)
         rows.append((
-            getattr(cfg, spec.field), cfg.mean_thermal_magnons, s,
+            getattr(cfg, field), cfg.mean_thermal_magnons, s,
             closed_form_fidelity(s),
             fidelity_with_pure(heralded.rho_magnons, target),
         ))
@@ -311,30 +297,28 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
 
     rows = []
 
-    def rate_row(name: str, exact: float, estimate: float) -> None:
-        exact, estimate = float(exact), float(estimate)
-        sigma = math.sqrt(max(exact * (1.0 - exact), 1e-300) / trials)
-        rows.append((name, exact, estimate, sigma, bool(abs(estimate - exact) <= ORACLE_SIGMAS * sigma)))
+    def gate(name: str, exact: float, estimate: Optional[float], sigma: Optional[float]) -> None:
+        """One report row, passed when the estimate lies within ORACLE_SIGMAS sigma of the
+        exact value; a missing estimate fails."""
+        passed = estimate is not None and bool(abs(estimate - exact) <= ORACLE_SIGMAS * sigma)
+        rows.append((name, exact, estimate, sigma, passed))
 
     herald = config.herald_detector_index
-    rate_row("herald_probability", float(table[herald, :].sum()),
-             fractions[f"stokes_detector{herald}"])
-    rate_row("stokes_click_rate_d1", float(table[1, :].sum()), fractions["stokes_detector1"])
-    rate_row("stokes_click_rate_d2", float(table[2, :].sum()), fractions["stokes_detector2"])
-    rate_row("antistokes_click_rate_d1", float(table[:, 1].sum()), fractions["antistokes_detector1"])
-    rate_row("antistokes_click_rate_d2", float(table[:, 2].sum()), fractions["antistokes_detector2"])
+    for name, cells, key in (("herald_probability", table[herald, :], f"stokes_detector{herald}"),
+                             ("stokes_click_rate_d1", table[1, :], "stokes_detector1"),
+                             ("stokes_click_rate_d2", table[2, :], "stokes_detector2"),
+                             ("antistokes_click_rate_d1", table[:, 1], "antistokes_detector1"),
+                             ("antistokes_click_rate_d2", table[:, 2], "antistokes_detector2")):
+        exact = float(cells.sum())
+        gate(name, exact, float(fractions[key]), math.sqrt(max(exact * (1.0 - exact), 1e-300) / trials))
 
     for anti in (1, 2):
-        name = f"g2_A{anti}S1"
-        exact = stats.g2_click(anti, 1)
         try:
             est = montecarlo.estimate_g2(counts, anti, 1)
+            value, sigma = est.value, max(est.standard_error, 1e-300)
         except montecarlo.EstimatorError:
-            rows.append((name, exact, None, None, False))
-            continue
-        sigma = max(est.standard_error, 1e-300)
-        rows.append((name, exact, est.value, sigma,
-                     bool(abs(est.value - exact) <= ORACLE_SIGMAS * sigma)))
+            value = sigma = None
+        gate(f"g2_A{anti}S1", stats.g2_click(anti, 1), value, sigma)
 
     exact_rm, exact_div = exact_witness_ratio(stats.g2_click(1, 1), stats.g2_click(2, 1))
     try:
@@ -342,14 +326,12 @@ def run_oracle_compare(config: ProtocolConfig, fmt: str, out: TextIO, trials: in
     except montecarlo.EstimatorError:
         mc_point = None
     if mc_point is None:
-        rows.append(("R_m", exact_rm, None, None, False))
+        gate("R_m", exact_rm, None, None)
     elif exact_div or mc_point.divergent:  # only a divergent estimate has no r_m_error
         rows.append(("R_m", exact_rm, mc_point.r_m, float("nan"),
                      bool(exact_div == mc_point.divergent)))
     else:
-        sigma = max(mc_point.r_m_error, 1e-300)
-        rows.append(("R_m", exact_rm, mc_point.r_m, sigma,
-                     bool(abs(mc_point.r_m - exact_rm) <= ORACLE_SIGMAS * sigma)))
+        gate("R_m", exact_rm, mc_point.r_m, max(mc_point.r_m_error, 1e-300))
 
     write_table(("observable", "exact", "mc_estimate", "sigma", "passed"), rows, fmt, out)
     return all(row[-1] for row in rows)
@@ -444,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (ConfigDomainError, ProtocolError) as exc:
+    except (ConfigDomainError, ProtocolError, ChannelError) as exc:
         if isinstance(exc, (HeraldError, ZeroIntensityError)):
             print(f"runtime error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME_ERROR

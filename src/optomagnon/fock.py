@@ -7,9 +7,7 @@ matching the Kronecker-product convention used throughout).  Pure states
 are dense complex vectors, mixed states dense complex matrices, and mode
 operators sparse matrices on the same basis.
 
-All containers are immutable values: operations return new objects and
-never mutate their inputs, so everything here is safe to share across
-threads.
+Operations return new objects and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -156,12 +154,6 @@ class MultiModeState:
         if not np.isfinite(n):
             raise NormalizationError("state norm is not finite")
         return n
-
-    def normalized(self) -> "MultiModeState":
-        n = self.norm
-        if n == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
-        return MultiModeState(self.registry, self.amplitudes / n)
 
     def check(self) -> "MultiModeState":
         """Assert unit norm within NORM_TOL, returning self on success."""
@@ -334,10 +326,6 @@ def single_mode_annihilation(cutoff: int) -> np.ndarray:
 def annihilation(registry: ModeRegistry, label: str) -> ModeOperator:
     """Annihilation operator for one mode, exact up to the cutoff boundary."""
     return embed_single_mode(registry, label, single_mode_annihilation(registry.cutoff_of(label)))
-
-
-def creation(registry: ModeRegistry, label: str) -> ModeOperator:
-    return annihilation(registry, label).dag()
 
 
 def number_operator(registry: ModeRegistry, label: str) -> ModeOperator:

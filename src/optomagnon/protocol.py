@@ -397,21 +397,19 @@ def _front_optics(config: ProtocolConfig) -> tuple[list, float]:
     co, cm = config.optical_cutoff, config.magnon_cutoff
     registry = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
 
-    # classical pump amplitudes per arm after the symmetric 50/50 splitter
-    alpha = math.sqrt(config.pulse_mean_photons)
+    # The symmetric 50/50 splitter leaves the classical pump amplitudes alpha/sqrt(2) in arm A
+    # and i alpha/sqrt(2) in arm B (phases 0 and pi/2).  The scattered field inherits the pump
+    # phase, shifted by the -i of the interaction generator: -pi/2 in arm A, 0 in arm B.
     steps, truncation = [], 0.0
-    for stokes, magnon, pair_prob, pump in (
-        (STOKES_A, MAGNON_A, config.pair_probability_a, alpha / math.sqrt(2.0)),
-        (STOKES_B, MAGNON_B, config.pair_probability_b, 1j * alpha / math.sqrt(2.0)),
+    for stokes, magnon, pair_prob, pair_phase in (
+        (STOKES_A, MAGNON_A, config.pair_probability_a, -math.pi / 2.0),
+        (STOKES_B, MAGNON_B, config.pair_probability_b, 0.0),
     ):
         if pair_prob == 0.0:
             continue
         spec = SqueezerSpec.from_pair_probability(stokes, magnon, pair_prob)
         truncation += squeezer_vacuum_tail(spec, registry)
         steps.append(two_mode_squeezer_unitary(spec, registry).matrix)
-        # the scattered field inherits the pump phase, shifted by the
-        # -i of the interaction generator
-        pair_phase = np.angle(pump) - math.pi / 2.0
         if pair_phase != 0.0:
             steps.append(phase_shift_unitary(stokes, pair_phase, registry).matrix)
 
@@ -518,7 +516,8 @@ def entangle_sweep(config: ProtocolConfig, field: str,
     seeds the squeezers with each point's occupation, so each point carries its own state
     through the front's operators, which are built once."""
     if field not in THERMAL_SWEEP_FIELDS:
-        raise ProtocolError(f"a thermal sweep varies one of {THERMAL_SWEEP_FIELDS}, not {field!r}")
+        raise ProtocolError(f"a thermal sweep varies one of {THERMAL_SWEEP_FIELDS}, not {field!r} "
+                            "(for a thermal-ratio sweep use nbar_override = S/(1-S))")
     if field == "temperature_k" and config.nbar_override is not None:
         raise ProtocolError("sweeping temperature_k changes nothing while nbar_override is set "
                             "(nbar_override takes precedence); sweep nbar_override or unset it")

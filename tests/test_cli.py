@@ -16,12 +16,12 @@ from optomagnon.cli import (
     EXIT_RUNTIME_ERROR,
     ConfigDomainError,
     ConfigParseError,
-    SweepSpec,
     load_config,
     main,
     parse_config_text,
+    parse_sweep,
 )
-from optomagnon.protocol import ProtocolConfig
+from optomagnon.protocol import ProtocolConfig, ProtocolRegimeWarning
 
 COUNTING_CFG = ("pulse_mean_photons = 0.1\nstokes_probability = 0.1\n"
                 "read_swap_angle_rad = 1.5707963267948966\n")
@@ -161,16 +161,17 @@ def test_config_with_a_utf8_byte_order_mark_reads_as_without(tmp_path):
     assert outs[1] == outs[0]
 
 
-def test_sweep_spec_parsing():
-    sweep = SweepSpec.parse("temperature_k:0.05:0.1:3")
-    assert sweep.count == 3
-    assert list(sweep.values()) == [0.05, 0.07500000000000001, 0.1]
+def test_sweep_spec_parsing(capsys):
+    field, values = parse_sweep("temperature_k:0.05:0.1:3")
+    assert field == "temperature_k"
+    assert list(values) == [0.05, 0.07500000000000001, 0.1]
     with pytest.raises(ConfigDomainError):
-        SweepSpec.parse("temperature_k:0:1")
+        parse_sweep("temperature_k:0:1")
+    # the sweep's owner, entangle_sweep, rejects any other field
+    assert _run(["fidelity-sweep", "--sweep", "herald_detector_index:1:2:2"]) == EXIT_DOMAIN_ERROR
+    assert "for a thermal-ratio sweep use nbar_override = S/(1-S)" in capsys.readouterr().err
     with pytest.raises(ConfigDomainError):
-        SweepSpec.parse("herald_detector_index:1:2:2")
-    with pytest.raises(ConfigDomainError):
-        SweepSpec.parse("temperature_k:0:1:0")
+        parse_sweep("temperature_k:0:1:0")
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +307,21 @@ def test_exit_codes(tmp_path):
     dead = _write(tmp_path, "dead.cfg", "pulse_mean_photons = 0.0\n")
     assert _run(["fidelity-sweep", "--config", dead,
                  "--sweep", "temperature_k:0.1:0.1:1"]) == EXIT_RUNTIME_ERROR
+
+
+@pytest.mark.parametrize("config_text, message", [
+    ("pulse_mean_photons = 0.5\nstokes_probability = 0.5\n",
+     "squeezer tail 2.441e-04 exceeds bound 1.000e-05; raise cutoffs or lower r"),
+    ("pulse_mean_photons = 2.0\nstokes_probability = 1.0\n", "pair probability 1.0 outside [0, 1)"),
+])
+def test_a_squeezer_the_config_makes_impossible_is_a_domain_error(tmp_path, capsys, config_text,
+                                                                  message):
+    cfg = _write(tmp_path, "squeeze.cfg", config_text)
+    with pytest.warns(ProtocolRegimeWarning):
+        code = _run(["fidelity-sweep", "--config", cfg, "--sweep", "temperature_k:0.1:0.1:1",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 @pytest.mark.parametrize("detector_line, message", [

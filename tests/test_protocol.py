@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.constants
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from optomagnon import protocol
 from optomagnon.channels import (
@@ -21,6 +22,7 @@ from optomagnon.channels import (
     geometric_weights,
     loss_channel,
     loss_kraus_operators,
+    loss_kraus_sum,
     phase_shift_unitary,
     squeezer_vacuum_tail,
     swap_coupler_unitary,
@@ -851,6 +853,79 @@ def test_engine_invariants_over_the_config_domain(efficiency, dark_click_probabi
         assert stats.number_probabilities.min() >= -1e-10
         assert abs(stats.number_probabilities.sum() - 1.0) <= 1e-10
         assert abs(stats.click_pattern_probabilities().sum() - 1.0) <= 1e-10
+
+
+def _psd(draw, dim: int) -> np.ndarray:
+    """``F F+ / tr(F F+)`` of a complex ``dim`` x (1-8) factor ``F``, first scaled to a largest
+    entry of modulus 1 so that no product underflows, and made exactly Hermitian."""
+    parts = draw(arrays(np.float64, (2, dim, draw(st.integers(1, 8))), elements=st.floats(-1.0, 1.0)))
+    largest = np.hypot(parts[0], parts[1]).max()
+    assume(largest > 0.0)
+    factor = (parts[0] / largest) + 1j * (parts[1] / largest)
+    m = factor @ factor.conj().T
+    m = 0.5 * (m + m.conj().T)
+    return m / np.trace(m).real
+
+
+@st.composite
+def _front_inputs(draw):
+    """A front registry; a density on a random support of its basis; and a Stokes sector
+    stack ``[s1, s2, magnon, magnon]``, the diagonal blocks of a density that is zero
+    outside a random magnon corner."""
+    co, cm = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    reg = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
+    mask = draw(arrays(np.bool_, reg.dimension))
+    assume(mask.any())
+    support = np.flatnonzero(mask)
+    rho = _psd(draw, support.size)
+
+    corner = (draw(st.integers(1, cm + 1)), draw(st.integers(1, cm + 1)))
+    _, _, n_a, n_b = np.indices(reg.dims).reshape(4, -1)
+    inside = np.flatnonzero((n_a < corner[0]) & (n_b < corner[1]))
+    full = np.zeros((reg.dimension,) * 2, dtype=complex)
+    full[np.ix_(inside, inside)] = _psd(draw, inside.size)
+    sectors, q = (co + 1) ** 2, (cm + 1) ** 2
+    blocks = np.einsum("iaib->iab", full.reshape(sectors, q, sectors, q))
+    return reg, support, rho, blocks.reshape(co + 1, co + 1, q, q), corner
+
+
+def _assert_densities(stack: np.ndarray) -> None:
+    """Each matrix of ``stack`` is Hermitian and positive, and their traces sum to 1."""
+    mats = stack.reshape(-1, *stack.shape[-2:])
+    assert np.abs(mats - mats.conj().swapaxes(-1, -2)).max() <= 1e-12
+    assert np.linalg.eigvalsh(mats).min() >= -1e-12
+    assert abs(np.trace(mats, axis1=-2, axis2=-1).sum().real - 1.0) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(inputs=_front_inputs(), angle=st.floats(0.0, math.pi / 2), squeeze_parameter=_UNIT,
+       transmissivity=_UNIT, nbar=st.floats(0.0, 1e15, exclude_min=True), efficiency=_UNIT,
+       dark_click_probability=_UNIT)
+def test_pipeline_block_operations_keep_a_density_a_density(
+        inputs, angle, squeeze_parameter, transmissivity, nbar, efficiency, dark_click_probability):
+    reg, support, rho, blocks, corner = inputs
+    stage = [beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B, angle), reg),
+             phase_shift_unitary(STOKES_A, angle, reg),
+             swap_coupler_unitary(SwapSpec(STOKES_B, MAGNON_B, angle), reg)]
+    try:  # a squeezer tail past its bound is the only allowed failure
+        stage.append(two_mode_squeezer_unitary(SqueezerSpec(STOKES_A, MAGNON_A, squeeze_parameter), reg))
+    except TruncationError:
+        pass
+    for op in stage:
+        _assert_densities(protocol._support_step(op.matrix, support, rho)[1])
+    for mode in (STOKES_A, MAGNON_B):
+        kraus = loss_kraus_operators(reg, mode, transmissivity)
+        _assert_densities(protocol._support_loss(kraus, support, rho)[1])
+
+    magnons = ModeRegistry.of((MAGNON_A, reg.cutoff_of(MAGNON_A)), (MAGNON_B, reg.cutoff_of(MAGNON_B)))
+    _assert_densities(loss_kraus_sum(blocks, loss_kraus_operators(magnons, MAGNON_A, transmissivity)))
+    _assert_densities(protocol._thermal_overlay(blocks, nbar, magnons.dims, corner)[0])
+    no_click = DetectorSpec(efficiency, dark_click_probability).no_click_weights(reg.cutoff_of(STOKES_A))
+    for axis in (0, 1):
+        for weights in (1.0 - no_click, no_click):
+            # the herald conditions only above its probability floor
+            if protocol._port_probability(blocks, axis, weights) >= protocol.HERALD_FLOOR:
+                _assert_densities(protocol._port_conditioned(blocks, axis, weights))
 
 
 # ---------------------------------------------------------------------------
