@@ -15,7 +15,6 @@ from .fock import (
     NormalizationError,
     RegistryMismatchError,
     UnknownModeError,
-    annihilation,
     apply_unitary,
     expectation,
     fidelity_with_pure,
@@ -45,11 +44,9 @@ from .protocol import (
     ProtocolConfig,
     ProtocolError,
     ProtocolRegimeWarning,
-    ThermalConsistencyReport,
     WitnessPoint,
     ZeroIntensityError,
     closed_form_fidelity,
-    consistency_check_thermal,
     entangle_stage,
     entangle_sweep,
     exact_joint_statistics,

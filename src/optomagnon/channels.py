@@ -281,7 +281,7 @@ def click_measurement(rho: DensityOperator, mode: str, spec: DetectorSpec) -> Cl
     rescaling by the element's square root.
     """
     no_click_diag, click_diag = click_povm_diagonals(rho, mode, spec)
-    diag_rho = rho.occupation_probabilities()
+    diag_rho = np.real(np.diag(rho.matrix)).copy()
     p_noclick = float(np.dot(diag_rho, no_click_diag))
     p_click = min(max(float(np.dot(diag_rho, click_diag)), 0.0), 1.0)  # rounding may pass 1
 

@@ -120,7 +120,8 @@ def parse_config_text(text: str) -> ProtocolConfig:
         try:
             kwargs["detector"] = DetectorSpec(**detector_kwargs)
         except FockSpaceError as exc:
-            raise ConfigDomainError(f"field 'detector': {exc}") from exc
+            field = _offending_field(exc, detector_kwargs, prefix="detector.")
+            raise ConfigDomainError(f"field {field}: {exc}") from exc
     if kwargs.get("nbar_override") is not None:
         logger.info("nbar_override set; temperature_k is ignored for the thermal occupation")
     try:
@@ -130,12 +131,12 @@ def parse_config_text(text: str) -> ProtocolConfig:
         raise ConfigDomainError(f"field {field}: {exc}") from exc
 
 
-def _offending_field(exc: Exception, kwargs: dict) -> str:
-    """First config field, in file order, whose whole name the message mentions."""
+def _offending_field(exc: Exception, kwargs: dict, prefix: str = "") -> str:
+    """First config field, in file order, whose whole name (after ``prefix``) the message mentions."""
     message = str(exc)
     for name in kwargs:
         if re.search(rf"\b{re.escape(name)}\b", message):
-            return repr(name)
+            return repr(prefix + name)
     return "<config>"
 
 

@@ -161,14 +161,6 @@ class MultiModeState:
             raise NormalizationError(f"norm {self.norm!r} differs from 1 beyond {NORM_TOL}")
         return self
 
-    def overlap(self, other: "MultiModeState") -> complex:
-        _require_same_registry(self.registry, other.registry)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def occupation_probabilities(self) -> np.ndarray:
-        """Probabilities over flat basis indices."""
-        return np.abs(self.amplitudes) ** 2
-
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.registry, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -231,9 +223,6 @@ class DensityOperator:
             raise NormalizationError(f"negative eigenvalue {self.min_eigenvalue():.3e}")
         return self
 
-    def occupation_probabilities(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
-
 
 @dataclass(frozen=True)
 class ModeOperator:
@@ -248,12 +237,6 @@ class ModeOperator:
         if mat.shape != (d, d):
             raise RegistryMismatchError(f"operator shape {mat.shape} does not match dimension {d}")
         object.__setattr__(self, "matrix", mat)
-
-    def dag(self) -> "ModeOperator":
-        return ModeOperator(self.registry, self.matrix.conj().T.tocsr())
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _require_same_registry(a: ModeRegistry, b: ModeRegistry) -> None:
@@ -321,11 +304,6 @@ def single_mode_annihilation(cutoff: int) -> np.ndarray:
     ns = np.arange(1, d)
     mat[ns - 1, ns] = np.sqrt(ns)
     return mat
-
-
-def annihilation(registry: ModeRegistry, label: str) -> ModeOperator:
-    """Annihilation operator for one mode, exact up to the cutoff boundary."""
-    return embed_single_mode(registry, label, single_mode_annihilation(registry.cutoff_of(label)))
 
 
 def number_operator(registry: ModeRegistry, label: str) -> ModeOperator:

@@ -568,6 +568,51 @@ def test_non_finite_and_negative_float_fields_exit_with_a_domain_error(tmp_path,
     assert f"field '{line.split(' = ')[0]}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["optical_cutoff", "magnon_cutoff"])
+def test_a_zero_cutoff_is_a_domain_error_naming_its_key(tmp_path, capsys, key):
+    cfg = _write(tmp_path, "cut.cfg", f"{key} = 0\n")
+    assert _run(["witness-sweep", "--config", cfg]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err == f"domain error: field {key!r}: {key} must be >= 1, got 0\n"
+
+
+def test_a_detector_efficiency_outside_its_range_names_its_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "det.cfg", "detector.dark_click_probability = 0.1\n"
+                                      "detector.efficiency = 2\n")
+    assert _run(["witness-sweep", "--config", cfg]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err \
+        == "domain error: field 'detector.efficiency': efficiency 2.0 outside [0, 1]\n"
+
+
+@pytest.mark.parametrize("line", [
+    "magnon_frequency_hz = 0", "nbar_override = -0.5", "propagation_transmissivity_b = 1.5",
+    "herald_detector_index = 3", "read_swap_angle_rad = 2", "thermal_model = quantum_foam",
+])
+def test_each_config_range_check_is_a_domain_error_naming_its_field(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "range.cfg", line + "\n")
+    assert _run(["witness-sweep", "--config", cfg]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err.startswith(f"domain error: field '{line.split(' = ')[0]}': ")
+
+
+@pytest.mark.parametrize("args, text, code, phrase", [
+    (["witness-sweep"], "temperature_k =\n", EXIT_PARSE_ERROR, "line 1: empty key or value"),
+    (["witness-sweep"], "= 0.1\n", EXIT_PARSE_ERROR, "line 1: empty key or value"),
+    (["witness-sweep"], "optical_cutoff = 3.5\n", EXIT_DOMAIN_ERROR,
+     "field 'optical_cutoff': bad value '3.5' (line 1)"),
+    (["fidelity-sweep", "--sweep", "temperature_k:a:0.2:3"], "", EXIT_DOMAIN_ERROR,
+     "bad sweep bounds in 'temperature_k:a:0.2:3'"),
+])
+def test_malformed_config_values_and_sweep_bounds_exit_with_their_message(
+        tmp_path, capsys, args, text, code, phrase):
+    assert _run(args + ["--config", _write(tmp_path, "bad.cfg", text)]) == code
+    assert phrase in capsys.readouterr().err
+
+
+def test_a_missing_config_file_is_a_parse_error(tmp_path, capsys):
+    missing = str(tmp_path / "absent.cfg")
+    assert _run(["witness-sweep", "--config", missing]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err.startswith(f"config parse error: cannot read config {missing!r}: ")
+
+
 def test_non_finite_sweep_value_is_a_domain_error(tmp_path, capsys):
     assert _run(["fidelity-sweep", "--sweep", "temperature_k:nan:0.1:2",
                  "--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
@@ -604,6 +649,15 @@ def test_thermal_ratio_rounding_to_one_is_a_domain_error_naming_the_field(
     assert _run(args + ["--out", str(tmp_path / "o.csv")]) == EXIT_DOMAIN_ERROR
     err = capsys.readouterr().err
     assert f"{field} makes the thermal ratio nbar/(nbar + 1) round to 1" in err
+
+
+def test_an_occupation_overflowing_to_inf_is_a_domain_error(tmp_path, capsys):
+    # h nu / k T is subnormal here, so nbar = 1/expm1(h nu / k T) is inf and nbar/(nbar + 1) NaN
+    cfg = _write(tmp_path, "hot.cfg", "magnon_frequency_hz = 1e-08\n"
+                                      "temperature_k = 8.627566325525974e+289\n")
+    assert _run(["witness-sweep", "--config", cfg]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err == ("domain error: field 'temperature_k': temperature_k makes "
+                                       "the thermal ratio nbar/(nbar + 1) round to 1\n")
 
 
 @pytest.mark.parametrize("command", ["witness-sweep", "fidelity-sweep"])

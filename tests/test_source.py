@@ -38,6 +38,42 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants of the modules that no expression
+    in any of the modules reads, by name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined += [f"{module}: {name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [entry for entry in defined if entry.split(": ")[1] not in read]
+
+
+def test_dead_private_name_check_sees_a_dead_name():
+    sources = {"a": "_X = 1\n_Y = 2\ndef _f():\n    return _Y\nclass _C:\n    pass\n",
+               "b": "from a import _f\nimport a\nz = _f() + a._X\n"}
+    assert _dead_private_names(sources) == ["a: _C"]
+
+
+def test_no_dead_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "optomagnon").glob("*.py")}
+    assert _dead_private_names(sources) == []
+
+
 def test_readme_quick_start_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
