@@ -2,8 +2,10 @@
 
 Unitaries are built by exponentiating the truncated generator on the one- or
 two-mode subspace they act on (skew-Hermitian generator, so the result is
-exactly unitary on the truncated space) and lifting the block into the full
-registry as a sparse operator.  The top Fock level of each mode serves as a
+exactly unitary on the truncated space).  Each ``*_block`` function returns
+that small block, and the matching ``*_unitary`` lifts it into the full
+registry as a sparse operator; `loss_kraus_operators` likewise lifts the
+blocks of `loss_kraus_blocks`.  The top Fock level of each mode serves as a
 guard band: population that would flow past the cutoff is reported as a
 truncation estimate, and callers keep working amplitudes below it.
 
@@ -122,23 +124,28 @@ class DetectorSpec:
         return (1.0 - self.efficiency) ** ns * (1.0 - self.dark_click_probability)
 
 
-def _pair_unitary(registry: ModeRegistry, mode_a: str, mode_b: str, generator) -> ModeOperator:
-    """exp(``generator(a, b)``) of the two modes' truncated ladder matrices, lifted to the registry."""
+def _pair_block(registry: ModeRegistry, mode_a: str, mode_b: str, generator) -> np.ndarray:
+    """exp(``generator(a, b)``) of the two modes' truncated ladder matrices, row-major in (n_a, n_b)."""
     da = registry.cutoff_of(mode_a) + 1
     db = registry.cutoff_of(mode_b) + 1
     a = np.kron(single_mode_annihilation(da - 1), np.eye(db))
     b = np.kron(np.eye(da), single_mode_annihilation(db - 1))
-    return embed_mode_pair(registry, mode_a, mode_b, scipy.linalg.expm(generator(a, b)))
+    return scipy.linalg.expm(generator(a, b))
 
 
-def beamsplitter_unitary(spec: BeamsplitterSpec, registry: ModeRegistry) -> ModeOperator:
-    """Photon-number-conserving two-mode mixing unitary."""
+def beamsplitter_block(spec: BeamsplitterSpec, registry: ModeRegistry) -> np.ndarray:
+    """Photon-number-conserving two-mode mixing unitary on (mode_a, mode_b)."""
     if spec.mode_a == spec.mode_b:
         raise ChannelError("beamsplitter needs two distinct modes")
     phase = np.exp(1j * spec.relative_phase)
-    return _pair_unitary(
+    return _pair_block(
         registry, spec.mode_a, spec.mode_b,
         lambda a, b: spec.mixing_angle * (phase * a.conj().T @ b - np.conj(phase) * a @ b.conj().T))
+
+
+def beamsplitter_unitary(spec: BeamsplitterSpec, registry: ModeRegistry) -> ModeOperator:
+    """`beamsplitter_block` lifted to the registry."""
+    return embed_mode_pair(registry, spec.mode_a, spec.mode_b, beamsplitter_block(spec, registry))
 
 
 def squeezer_vacuum_tail(spec: SqueezerSpec, registry: ModeRegistry) -> float:
@@ -147,8 +154,8 @@ def squeezer_vacuum_tail(spec: SqueezerSpec, registry: ModeRegistry) -> float:
     return math.tanh(spec.squeeze_parameter) ** (2 * (c + 1))
 
 
-def two_mode_squeezer_unitary(spec: SqueezerSpec, registry: ModeRegistry) -> ModeOperator:
-    """Pair-creation unitary exp[r (a+ m+ - a m)] on the truncated space.
+def two_mode_squeezer_block(spec: SqueezerSpec, registry: ModeRegistry) -> np.ndarray:
+    """Pair-creation unitary exp[r (a+ m+ - a m)] on (optical, magnon), truncated.
 
     Raises TruncationError when the vacuum-input weight beyond the cutoff
     would exceed ``SQUEEZER_TAIL_BOUND``; callers read the estimate via
@@ -160,40 +167,59 @@ def two_mode_squeezer_unitary(spec: SqueezerSpec, registry: ModeRegistry) -> Mod
             f"squeezer tail {tail:.3e} exceeds bound {SQUEEZER_TAIL_BOUND:.3e}; raise cutoffs or lower r"
         )
     r = spec.squeeze_parameter
-    return _pair_unitary(registry, spec.optical_mode, spec.magnon_mode,
-                         lambda a, m: r * (a.conj().T @ m.conj().T - a @ m))
+    return _pair_block(registry, spec.optical_mode, spec.magnon_mode,
+                       lambda a, m: r * (a.conj().T @ m.conj().T - a @ m))
+
+
+def two_mode_squeezer_unitary(spec: SqueezerSpec, registry: ModeRegistry) -> ModeOperator:
+    """`two_mode_squeezer_block` lifted to the registry."""
+    return embed_mode_pair(registry, spec.optical_mode, spec.magnon_mode,
+                           two_mode_squeezer_block(spec, registry))
+
+
+def swap_coupler_block(spec: SwapSpec, registry: ModeRegistry) -> np.ndarray:
+    """Beamsplitter-type coupling exp[-i theta (a m+ + a+ m)] on (optical, magnon)."""
+    return _pair_block(registry, spec.optical_mode, spec.magnon_mode,
+                       lambda a, m: -1j * spec.swap_angle * (a @ m.conj().T + a.conj().T @ m))
 
 
 def swap_coupler_unitary(spec: SwapSpec, registry: ModeRegistry) -> ModeOperator:
-    """Beamsplitter-type coupling exp[-i theta (a m+ + a+ m)] between modes."""
-    return _pair_unitary(registry, spec.optical_mode, spec.magnon_mode,
-                         lambda a, m: -1j * spec.swap_angle * (a @ m.conj().T + a.conj().T @ m))
+    """`swap_coupler_block` lifted to the registry."""
+    return embed_mode_pair(registry, spec.optical_mode, spec.magnon_mode,
+                           swap_coupler_block(spec, registry))
+
+
+def phase_shift_block(mode: str, angle: float, registry: ModeRegistry) -> np.ndarray:
+    """Diagonal e^{i n angle} on one mode; occupation probabilities invariant."""
+    return np.diag(np.exp(1j * angle * np.arange(registry.cutoff_of(mode) + 1)))
 
 
 def phase_shift_unitary(mode: str, angle: float, registry: ModeRegistry) -> ModeOperator:
-    """Diagonal e^{i n angle} on one mode; occupation probabilities invariant."""
-    d = registry.cutoff_of(mode) + 1
-    block = np.diag(np.exp(1j * angle * np.arange(d)))
-    return embed_single_mode(registry, mode, block)
+    """`phase_shift_block` lifted to the registry."""
+    return embed_single_mode(registry, mode, phase_shift_block(mode, angle, registry))
+
+
+def loss_kraus_blocks(registry: ModeRegistry, mode: str, transmissivity: float) -> np.ndarray:
+    """Kraus operators of the pure-loss map on one mode, as a table of single-mode blocks:
+    block k loses k quanta with binomial weight, k = 0..cutoff.  The lossless map
+    (transmissivity 1) has none to apply: the table is empty."""
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ChannelError(f"transmissivity {transmissivity!r} outside [0, 1]")
+    d, eta = registry.cutoff_of(mode) + 1, transmissivity
+    if transmissivity == 1.0:
+        return np.zeros((0, d, d), dtype=complex)
+    kraus = np.zeros((d, d, d), dtype=complex)
+    for k in range(d):
+        for n in range(k, d):
+            kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * (eta ** (n - k)) * ((1 - eta) ** k))
+    return kraus
 
 
 def loss_kraus_operators(registry: ModeRegistry, mode: str, transmissivity: float) -> list:
-    """Kraus operators of the pure-loss map on one mode, lifted to the registry as CSR
-    matrices: operator k loses k quanta with binomial weight, k = 0..cutoff.  The lossless
-    map (transmissivity 1) has none to apply: the list is empty and `loss_kraus_sum`
-    returns its input untouched."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ChannelError(f"transmissivity {transmissivity!r} outside [0, 1]")
-    if transmissivity == 1.0:
-        return []
-    d, eta = registry.cutoff_of(mode) + 1, transmissivity
-    kraus = []
-    for k in range(d):
-        block = np.zeros((d, d), dtype=complex)
-        for n in range(k, d):
-            block[n - k, n] = math.sqrt(math.comb(n, k) * (eta ** (n - k)) * ((1 - eta) ** k))
-        kraus.append(embed_single_mode(registry, mode, block).matrix)
-    return kraus
+    """`loss_kraus_blocks` lifted to the registry as CSR matrices; the lossless map gives an
+    empty list, which `loss_kraus_sum` applies by returning its input untouched."""
+    return [embed_single_mode(registry, mode, block).matrix
+            for block in loss_kraus_blocks(registry, mode, transmissivity)]
 
 
 def loss_channel(rho: DensityOperator, mode: str, transmissivity: float) -> DensityOperator:

@@ -11,11 +11,12 @@ Commands
 it reads; a command given any other of those flags rejects it.  Every
 command is deterministic given (config file, seed): reruns produce
 identical bytes.  ``--workers`` is accepted and changes nothing.  Each
-command builds each stage operator once, and the optics before the thermal
-step once: the points of a ``fidelity-sweep`` (``entangle_sweep``) run only
-the thermal step and the herald, except under ``squeezed_thermal``, where the
-occupation seeds the squeezers and each point carries its own state through
-the same operators.  Commands share none of it.
+command lifts each stage block once, onto the support it meets, and runs the
+optics before the thermal step once: the points of a ``fidelity-sweep``
+(``entangle_sweep``) run only the thermal step and the herald, except under
+``squeezed_thermal``, where the occupation seeds the squeezers and each point
+carries its own state through the same lifted operators (one lift per start
+state).  Commands share none of it.
 Config keys and their types are read off ``ProtocolConfig`` (``detector.*``
 for its detector), and a key given twice is a parse error.  ``--out`` is
 replaced only when the command finishes, so a failing command leaves an

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -245,12 +245,13 @@ def _require_same_registry(a: ModeRegistry, b: ModeRegistry) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Embedding single- and two-mode blocks into the full space.
+# Lifting single- and two-mode blocks onto basis columns of the full space.
 #
-# A block acting on modes (x, y, ...) is lifted by enumerating every basis
-# index, splitting off the (n_x, n_y, ...) digits, and re-assembling target
-# indices with the block's output digits.  This keeps lifted operators sparse:
-# at most block-dimension entries per column.
+# A block acting on modes (x, y, ...) maps basis index ``rest + offset(n_x, n_y, ...)``
+# to ``rest + offset(m_x, m_y, ...)``, where ``rest`` holds the other modes' digits.  With
+# the block's modes put in registry order, ``offset`` grows with the block index, so the
+# rows a set of columns reaches, and each row's columns in order, follow by index
+# arithmetic: the lifted operator is never built over more columns than it is given.
 
 
 def _digits(registry: ModeRegistry, labels: Sequence[str]) -> tuple[np.ndarray, ...]:
@@ -263,9 +264,13 @@ def _digits(registry: ModeRegistry, labels: Sequence[str]) -> tuple[np.ndarray, 
     return tuple(out)
 
 
-def _embed_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray) -> ModeOperator:
-    """Lift a matrix on distinct modes (row-major in their occupations) to the full space.
-    Each call builds and returns a fresh operator."""
+def lift_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray,
+               cols: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Lift a matrix on distinct modes (row-major in their occupations) onto the sorted basis
+    columns ``cols`` of the registry: the sorted rows it reaches from them, and its
+    (rows x cols) CSR matrix there, nonzero entries only, each row in column order.  These
+    are the entries and the per-row order of the full-space lift sliced to those rows and
+    columns.  Each call builds and returns fresh arrays."""
     if len(set(labels)) != len(labels):
         raise FockSpaceError(f"a block needs distinct modes, got {tuple(labels)}")
     axes = [registry.axis_of(label) for label in labels]
@@ -274,27 +279,54 @@ def _embed_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarra
     size = math.prod(dims)
     if block.shape != (size, size):
         raise RegistryMismatchError(f"block shape {block.shape} does not match modes {tuple(labels)}")
-    strides = [registry.strides[axis] for axis in axes]
-    digits = _digits(registry, labels)
-    rest = np.arange(registry.dimension) - sum(n * stride for n, stride in zip(digits, strides))
-    bcol = np.ravel_multi_index(digits, dims)
-    vals = block[:, bcol]
-    out_rows = sum(n * stride for n, stride in zip(np.unravel_index(np.arange(size), dims), strides))
-    brows, keep = np.nonzero(vals)
-    mat = sp.coo_matrix((vals[brows, keep], (out_rows[brows] + rest[keep], keep)),
-                        shape=(registry.dimension, registry.dimension))
-    return ModeOperator(registry, mat.tocsr())
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    block = block.reshape(dims + dims).transpose(order + [len(axes) + k for k in order])
+    dims = tuple(dims[k] for k in order)
+    block = block.reshape(size, size)
+    strides = [registry.strides[axes[k]] for k in order]
+    offsets = sum(n * stride for n, stride in zip(np.unravel_index(np.arange(size), dims), strides))
+
+    def split(indices):  # block index of each basis index, and the basis index at its block's 0
+        at = np.ravel_multi_index([(indices // stride) % d for stride, d in zip(strides, dims)], dims)
+        return at, indices - offsets[at]
+
+    cols = np.asarray(cols)
+    bcol, rest = split(cols)
+    reached = np.zeros(registry.dimension, dtype=bool)
+    reached[(rest[:, None] + offsets)[block[:, bcol].T != 0]] = True
+    rows = np.flatnonzero(reached)
+    brow, rest = split(rows)
+    position = np.full(registry.dimension, -1)
+    position[cols] = np.arange(cols.size)
+    position = position[rest[:, None] + offsets]  # each row's candidate columns, ascending
+    values = block[brow]
+    keep = (position >= 0) & (values != 0)
+    indptr = np.zeros(rows.size + 1, dtype=int)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return rows, sp.csr_matrix((values[keep], position[keep], indptr), shape=(rows.size, cols.size))
+
+
+def _embed_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray,
+                 cols: Optional[np.ndarray] = None) -> sp.csr_matrix:
+    """`lift_block` on the columns ``cols`` (every column by default), with every row of the
+    registry: the rows it does not reach are empty."""
+    d = registry.dimension
+    rows, lifted = lift_block(registry, labels, block, np.arange(d) if cols is None else cols)
+    indptr = np.zeros(d + 1, dtype=lifted.indptr.dtype)
+    indptr[rows + 1] = np.diff(lifted.indptr)
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((lifted.data, lifted.indices, indptr), shape=(d, lifted.shape[1]))
 
 
 def embed_single_mode(registry: ModeRegistry, label: str, block: np.ndarray) -> ModeOperator:
     """Lift a (cutoff+1)-dimensional single-mode matrix to the full space."""
-    return _embed_block(registry, (label,), block)
+    return ModeOperator(registry, _embed_block(registry, (label,), block))
 
 
 def embed_mode_pair(registry: ModeRegistry, label_a: str, label_b: str,
                     block: np.ndarray) -> ModeOperator:
     """Lift a two-mode matrix (row-major in (n_a, n_b)) to the full space."""
-    return _embed_block(registry, (label_a, label_b), block)
+    return ModeOperator(registry, _embed_block(registry, (label_a, label_b), block))
 
 
 def single_mode_annihilation(cutoff: int) -> np.ndarray:
@@ -307,8 +339,7 @@ def single_mode_annihilation(cutoff: int) -> np.ndarray:
 
 
 def number_operator(registry: ModeRegistry, label: str) -> ModeOperator:
-    (n,) = _digits(registry, [label])
-    return ModeOperator(registry, sp.diags(n.astype(complex)).tocsr())
+    return embed_single_mode(registry, label, np.diag(np.arange(registry.cutoff_of(label) + 1)))
 
 
 def sandwich(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

@@ -54,16 +54,18 @@ from .channels import (
     DetectorSpec,
     SqueezerSpec,
     SwapSpec,
+    beamsplitter_block,
     beamsplitter_unitary,
     geometric_weights,
+    loss_kraus_blocks,
     loss_kraus_operators,
     loss_kraus_sum,
-    phase_shift_unitary,
+    phase_shift_block,
     squeezer_vacuum_tail,
-    swap_coupler_unitary,
+    swap_coupler_block,
     thermal_truncation_weight,
     thermal_weights,
-    two_mode_squeezer_unitary,
+    two_mode_squeezer_block,
 )
 from .fock import (
     ANTISTOKES_A,
@@ -76,6 +78,8 @@ from .fock import (
     FockSpaceError,
     ModeRegistry,
     MultiModeState,
+    _embed_block,
+    lift_block,
     sandwich,
 )
 
@@ -120,10 +124,15 @@ def mean_thermal_occupation(frequency_hz: float, temperature_k: float) -> float:
         raise ProtocolError(f"frequency must be positive, got {frequency_hz!r}")
     if temperature_k <= 0:
         raise ProtocolError(f"temperature must be positive, got {temperature_k!r}")
+    kt = scipy.constants.k * temperature_k
+    if kt == 0.0:  # k T underflows: exp(-h nu / k T) is 0
+        return 0.0
+    x = scipy.constants.h * frequency_hz / kt
+    if x == 0.0:  # h nu / k T underflows: nbar ~ 1/x is past the largest double
+        return math.inf
     try:
-        x = scipy.constants.h * frequency_hz / (scipy.constants.k * temperature_k)
         return 1.0 / math.expm1(x)
-    except (ZeroDivisionError, OverflowError):  # k T underflows to 0 or x > ~709: exp(-x) < 1e-308
+    except OverflowError:  # x > ~709: exp(-x) < 1e-308
         return 0.0
 
 
@@ -323,8 +332,9 @@ class EntangleFrontState:
     (detector-1 port, detector-2 port).  The Stokes-off-diagonal coherences are dropped:
     the herald's partial trace and every trace read only Stokes-diagonal entries.
     ``truncation_estimate`` collects squeezer tails, thermal leakage and any trace drift.
-    The optics before the thermal step (``_optical_front``) build a read-only stack that
-    a thermal sweep shares across its points; where neither the overlay nor a trace divide
+    The optics before the thermal step (``_optical_front``) carry the state on its support
+    through operators lifted onto that support alone, then build a read-only stack that a
+    thermal sweep shares across its points; where neither the overlay nor a trace divide
     changes it, ``blocks`` is that shared stack itself.
     """
 
@@ -332,26 +342,30 @@ class EntangleFrontState:
     truncation_estimate: float
 
 
-def _support_step(op, support: np.ndarray, rho: np.ndarray):
-    """``op rho op+`` for ``rho`` on the sorted basis indices ``support``: the rows the CSR
-    ``op`` reaches, and the sandwich there (bit-identical to the full-space one)."""
-    cols = op[:, support]
-    rows = np.flatnonzero(np.diff(cols.indptr))
-    return rows, sandwich(cols[rows], rho)
+def _lift_step(registry: ModeRegistry, labels: tuple[str, ...], blocks: Sequence[np.ndarray],
+               support: np.ndarray) -> tuple[np.ndarray, list]:
+    """The Kraus ``blocks`` of one step on the modes ``labels`` lifted onto the sorted basis
+    indices ``support``: the support the step leaves (the union of the rows they reach), and
+    its terms, each its rows' positions there and its (rows x support) CSR matrix."""
+    terms = [lift_block(registry, labels, block, support) for block in blocks]
+    if terms:
+        support = np.unique(np.concatenate([rows for rows, _ in terms]))
+    return support, [(np.searchsorted(support, rows), op) for rows, op in terms]
 
 
-def _support_loss(kraus: list, support: np.ndarray, rho: np.ndarray):
-    """Kraus sum of the `loss_kraus_operators` ``kraus`` on the support, added term by term
-    onto the union of supports; the lossless (empty) list leaves the state as it is."""
-    if not kraus:
-        return support, rho
-    terms = [_support_step(op, support, rho) for op in kraus]
-    union = np.unique(np.concatenate([rows for rows, _ in terms]))
-    out = np.zeros((union.size, union.size), dtype=complex)
-    for rows, term in terms:
-        at = np.searchsorted(union, rows)
-        out[np.ix_(at, at)] += term
-    return union, out
+def _support_step(size: int, terms: list, rho: np.ndarray) -> np.ndarray:
+    """A `_lift_step` step on ``rho``, a state on the support it was lifted onto: the lossless
+    loss (no terms) leaves it as it is, a unitary (one term) is its sandwich, and a loss
+    the sum of its Kraus sandwiches, each added onto its rows' positions in the ``size``-index
+    support the step leaves.  Bit-identical to the full-space sandwich and Kraus sum there."""
+    if not terms:
+        return rho
+    if len(terms) == 1:
+        return sandwich(terms[0][1], rho)
+    out = np.zeros((size, size), dtype=complex)
+    for at, op in terms:
+        out[np.ix_(at, at)] += sandwich(op, rho)
+    return out
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
@@ -388,10 +402,11 @@ def _product_thermal(nbar: float, cutoff: int) -> np.ndarray:
     return np.kron(np.diag(w), np.diag(w)).astype(complex)
 
 
-def _front_optics(config: ProtocolConfig) -> tuple[list, float]:
-    """The operators of the entangling optics up to (not including) the herald detectors, in
-    order, and the squeezer-tail truncation.  A unitary step is its CSR matrix, a loss step
-    its `loss_kraus_operators` list.  None of them reads the temperature."""
+def _front_optics(config: ProtocolConfig) -> tuple[ModeRegistry, list, float]:
+    """The small blocks of the entangling optics up to (not including) the herald detectors:
+    the (Stokes A, Stokes B, magnon A, magnon B) registry, the steps in order, each its mode
+    labels and its Kraus blocks (a unitary is one block, the lossless loss has none), and the
+    squeezer-tail truncation.  None of them is lifted, and none reads the temperature."""
     co, cm = config.optical_cutoff, config.magnon_cutoff
     registry = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
 
@@ -407,35 +422,51 @@ def _front_optics(config: ProtocolConfig) -> tuple[list, float]:
             continue
         spec = SqueezerSpec.from_pair_probability(stokes, magnon, pair_prob)
         truncation += squeezer_vacuum_tail(spec, registry)
-        steps.append(two_mode_squeezer_unitary(spec, registry).matrix)
+        steps.append(((stokes, magnon), [two_mode_squeezer_block(spec, registry)]))
         if pair_phase != 0.0:
-            steps.append(phase_shift_unitary(stokes, pair_phase, registry).matrix)
+            steps.append(((stokes,), [phase_shift_block(stokes, pair_phase, registry)]))
 
     for stokes, eta in ((STOKES_A, config.propagation_transmissivity_a),
                         (STOKES_B, config.propagation_transmissivity_b)):
-        steps.append(loss_kraus_operators(registry, stokes, eta))
-    steps.append(beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B), registry).matrix)
-    return steps, truncation
+        steps.append(((stokes,), loss_kraus_blocks(registry, stokes, eta)))
+    herald_bs = beamsplitter_block(BeamsplitterSpec(STOKES_A, STOKES_B), registry)
+    steps.append(((STOKES_A, STOKES_B), [herald_bs]))
+    return registry, steps, truncation
+
+
+def _lift_front(config: ProtocolConfig, optics: Optional[tuple] = None) -> tuple[list, np.ndarray, float]:
+    """The `_front_optics` of ``config`` (given as ``optics``, or built here), each step
+    lifted (`_lift_step`) onto the support the steps before it leave, from the start: the
+    vacuum, or the whole magnon block of Stokes sector (0, 0) when ``squeezed_thermal`` seeds
+    the squeezers.  Returns the steps as (support size, terms) for `_support_step`, the
+    final support and the squeezer-tail truncation.  The chain depends only on the start."""
+    registry, steps, truncation = _front_optics(config) if optics is None else optics
+    support = np.arange((config.magnon_cutoff + 1) ** 2 if _seeded_thermal(config) else 1)
+    chain = []
+    for labels, blocks in steps:
+        support, terms = _lift_step(registry, labels, blocks, support)
+        chain.append((support.size, terms))
+    return chain, support, truncation
 
 
 def _optical_front(config: ProtocolConfig,
-                   optics: Optional[tuple[list, float]] = None) -> tuple[np.ndarray, float, tuple[int, int]]:
+                   lifted: Optional[tuple] = None) -> tuple[np.ndarray, float, tuple[int, int]]:
     """The entangling optics up to (not including) the herald detectors, before the thermal
-    step: the state is carried on its support through the ``_front_optics`` steps (given as
-    ``optics``, or built here), then split into Stokes sectors.  Returns the read-only
+    step: the start state is carried through the `_lift_front` steps of ``config`` (given as
+    ``lifted``, or lifted here), then split into Stokes sectors.  Returns the read-only
     sector stack, the squeezer-tail truncation and the magnon corner (levels below it per
     mode) outside which the stack is zero.  The temperature is read only when
     ``squeezed_thermal`` seeds the squeezers."""
-    steps, truncation = _front_optics(config) if optics is None else optics
+    chain, support, truncation = _lift_front(config) if lifted is None else lifted
     co, cm = config.optical_cutoff, config.magnon_cutoff
     d_m = (cm + 1) ** 2
 
     if _seeded_thermal(config):  # on the magnon block of Stokes sector (0, 0)
-        support, rho = np.arange(d_m), _product_thermal(config.mean_thermal_magnons, cm)
+        rho = _product_thermal(config.mean_thermal_magnons, cm)
     else:
-        support, rho = np.arange(1), np.ones((1, 1), dtype=complex)
-    for step in steps:
-        support, rho = (_support_loss if isinstance(step, list) else _support_step)(step, support, rho)
+        rho = np.ones((1, 1), dtype=complex)
+    for size, terms in chain:
+        rho = _support_step(size, terms, rho)
 
     blocks = np.zeros((co + 1, co + 1, d_m, d_m), dtype=complex)
     sector, magnons = np.divmod(support, d_m)
@@ -512,18 +543,21 @@ def entangle_sweep(config: ProtocolConfig, field: str,
     ``mixture_overlay`` the optical front does not read the temperature, so it is built
     once and only the thermal step and the herald run per point; ``squeezed_thermal``
     seeds the squeezers with each point's occupation, so each point carries its own state
-    through the front's operators, which are built once."""
+    through the front's blocks, which are built once and lifted once per start."""
     if field not in THERMAL_SWEEP_FIELDS:
         raise ProtocolError(f"a thermal sweep varies one of {THERMAL_SWEEP_FIELDS}, not {field!r} "
                             "(for a thermal-ratio sweep use nbar_override = S/(1-S))")
     if field == "temperature_k" and config.nbar_override is not None:
         raise ProtocolError("sweeping temperature_k changes nothing while nbar_override is set "
                             "(nbar_override takes precedence); sweep nbar_override or unset it")
-    points, optics, optical = [], _front_optics(config), None
+    points, optics, lifted, optical = [], _front_optics(config), {}, None
     for value in values:
         cfg = replace(config, **{field: float(value)})
         if optical is None or cfg.thermal_model == "squeezed_thermal":
-            optical = _optical_front(cfg, optics)
+            seeded = _seeded_thermal(cfg)
+            if seeded not in lifted:
+                lifted[seeded] = _lift_front(cfg, optics)
+            optical = _optical_front(cfg, lifted[seeded])
         points.append((cfg, _herald(cfg, _thermal_step(cfg, optical))))
     return points
 
@@ -663,8 +697,10 @@ class _ReadOptics:
     before the first), and only then are its anti-Stokes-photon-number-shell-
     diagonal blocks gathered: the closing beamsplitter conserves the photon
     number and the detectors read only its output diagonals.  Stage operators
-    are row/column slices of CSR matrices embedded on the modes the stage
-    touches, so kept elements match the full-space sandwich bit for bit.
+    are lifted on the modes the stage touches (the swaps onto their
+    anti-Stokes-vacuum columns only), with the entries and per-row order of the
+    full-space lift there, so kept elements match the full-space sandwich bit
+    for bit.
     """
 
     def __init__(self, config: ProtocolConfig, rho: np.ndarray):
@@ -681,20 +717,22 @@ class _ReadOptics:
         survival = math.exp(-config.magnon_decay_delay_ratio)  # 1, lossless, without decay
         for label in (MAGNON_A, MAGNON_B):  # before the anti-Stokes vacuum is adjoined
             rho = loss_kraus_sum(rho, loss_kraus_operators(config.magnon_registry(), label, survival))
-        # swap A on (magnon A, magnon B, anti-Stokes A): anti-Stokes-vacuum
-        # columns in; out, one magnon-A level of rows at a time
+        # swap A on (magnon A, magnon B, anti-Stokes A): lifted on the anti-Stokes-vacuum
+        # columns; out, one magnon-A level of rows at a time
         arm_a = ModeRegistry.of((MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co))
-        swap_a = swap_coupler_unitary(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), arm_a).matrix
-        swap_a = swap_a[:, ::co + 1]
+        swap_a = _embed_block(arm_a, (ANTISTOKES_A, MAGNON_A),
+                              swap_coupler_block(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), arm_a),
+                              np.arange(0, arm_a.dimension, co + 1))
         rows = (cm + 1) * (co + 1)
         rho = np.stack([sandwich(swap_a[a * rows:(a + 1) * rows], rho)
                         for a in range(cm + 1)], axis=1)
-        # swap B on each magnon-A diagonal block: anti-Stokes-B-vacuum columns
-        # in; out, one magnon-B level of rows at a time, each level taken
+        # swap B on each magnon-A diagonal block: lifted on the anti-Stokes-B-vacuum
+        # columns; out, one magnon-B level of rows at a time, each level taken
         # through both anti-Stokes losses to its shell blocks before the next is made
         arm_b = ModeRegistry.of((MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
-        swap_b = swap_coupler_unitary(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b).matrix
-        swap_b = swap_b[:, ::co + 1]
+        swap_b = _embed_block(arm_b, (ANTISTOKES_B, MAGNON_B),
+                              swap_coupler_block(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b),
+                              np.arange(0, arm_b.dimension, co + 1))
         self.fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex)
                       for idx in self.shells]
         d = self.antistokes.dimension

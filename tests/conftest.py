@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,17 @@ from optomagnon import fock
 
 @pytest.fixture
 def lifts(monkeypatch):
-    """Key ``(registry, labels, block bytes)`` of every lift made in the test, in call order."""
+    """Key ``(registry, labels, block bytes, column bytes)`` of every lift made in the test, in
+    call order: `fock.lift_block` is replaced wherever an optomagnon module binds it."""
     keys = []
-    embed = fock._embed_block
+    lift = fock.lift_block
 
-    def spy(registry, labels, block):
-        keys.append((registry, tuple(labels), np.asarray(block, dtype=complex).tobytes()))
-        return embed(registry, labels, block)
+    def spy(registry, labels, block, cols):
+        keys.append((registry, tuple(labels), np.asarray(block, dtype=complex).tobytes(),
+                     np.asarray(cols).tobytes()))
+        return lift(registry, labels, block, cols)
 
-    monkeypatch.setattr(fock, "_embed_block", spy)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("optomagnon") and getattr(module, "lift_block", None) is lift:
+            monkeypatch.setattr(module, "lift_block", spy)
     return keys

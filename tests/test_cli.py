@@ -660,6 +660,25 @@ def test_an_occupation_overflowing_to_inf_is_a_domain_error(tmp_path, capsys):
                                        "the thermal ratio nbar/(nbar + 1) round to 1\n")
 
 
+def test_an_occupation_whose_exponent_underflows_is_a_domain_error(tmp_path, capsys):
+    # h nu / k T underflows to 0, so nbar is inf (not 0, as for k T underflowing)
+    cfg = _write(tmp_path, "hot.cfg", "magnon_frequency_hz = 1e-30\ntemperature_k = 1e300\n")
+    out = tmp_path / "o.csv"
+    assert _run(["fidelity-sweep", "--config", cfg, "--sweep", "temperature_k:1e300:1e300:1",
+                 "--out", str(out)]) == EXIT_DOMAIN_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ")
+    assert "temperature_k makes the thermal ratio nbar/(nbar + 1) round to 1" in err
+    assert not out.exists()
+
+
+def test_a_temperature_whose_k_t_underflows_runs_with_zero_occupation(tmp_path):
+    out = tmp_path / "o.csv"
+    assert _run(["fidelity-sweep", "--sweep", "temperature_k:5e-324:5e-324:1",
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[1].split(",")[1:4] == ["0.0", "0.0", "1.0"]
+
+
 @pytest.mark.parametrize("command", ["witness-sweep", "fidelity-sweep"])
 def test_temperature_below_half_a_millikelvin_runs_with_zero_occupation(tmp_path, command):
     # h nu / k T = 840 at 7 GHz: exp overflows, and nbar is 0 to double precision

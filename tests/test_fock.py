@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from optomagnon import fock
 from optomagnon.fock import (
     DensityOperator,
     FockSpaceError,
@@ -15,6 +19,7 @@ from optomagnon.fock import (
     embed_single_mode,
     expectation,
     fidelity_with_pure,
+    lift_block,
     number_operator,
     partial_trace,
     single_mode_annihilation,
@@ -231,3 +236,61 @@ def test_pair_lift_on_reversed_modes_equals_a_dense_reference():
     dense = np.kron(np.eye(3), block).reshape(3, 2, 4, 3, 2, 4).transpose(0, 2, 1, 3, 5, 4)
     assert np.array_equal(lifted.toarray(), dense.reshape(24, 24))
     assert np.all(lifted.data != 0)
+
+
+
+def _coo_lift(registry, labels, block):
+    """Reference full-space lift: the block put on every column of the registry as a COO
+    matrix, which scipy makes CSR."""
+    axes = [registry.axis_of(label) for label in labels]
+    dims = tuple(registry.dims[axis] for axis in axes)
+    strides = [registry.strides[axis] for axis in axes]
+    every = np.arange(registry.dimension)
+    digits = [(every // stride) % d for stride, d in zip(strides, dims)]
+    rest = every - sum(n * stride for n, stride in zip(digits, strides))
+    vals = block[:, np.ravel_multi_index(digits, dims)]
+    out_rows = sum(n * stride for n, stride in zip(np.unravel_index(np.arange(len(block)), dims), strides))
+    brows, keep = np.nonzero(vals)
+    return sp.coo_matrix((vals[brows, keep], (out_rows[brows] + rest[keep], keep)),
+                         shape=(registry.dimension, registry.dimension)).tocsr()
+
+
+def _assert_same_csr(got, want):
+    """Same shape, and the same CSR arrays byte for byte, index dtype included."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@st.composite
+def _lift_inputs(draw):
+    """A registry of 1-4 modes with cutoffs 1-4; a block on 1-3 of its modes in any order,
+    with a random pattern of (signed) zeros; and a random sorted set of basis columns."""
+    cutoffs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    registry = ModeRegistry(tuple((f"m{k}", c) for k, c in enumerate(cutoffs)))
+    labels = tuple(draw(st.permutations(registry.labels))[:draw(st.integers(1, min(3, len(cutoffs))))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(np.prod([registry.cutoff_of(label) + 1 for label in labels]))
+    block = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    block.real[rng.random((size, size)) < draw(st.floats(0.0, 1.0))] = 0.0
+    block.imag[rng.random((size, size)) < draw(st.floats(0.0, 1.0))] = 0.0
+    block[rng.random((size, size)) < draw(st.floats(0.0, 1.0))] = draw(st.sampled_from([0.0, -0.0]))
+    cols = np.flatnonzero(rng.random(registry.dimension) < draw(st.floats(0.0, 1.0)))
+    return registry, labels, block, cols
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(inputs=_lift_inputs())
+def test_lifts_equal_the_coo_lift_sliced_the_same_way(inputs):
+    registry, labels, block, cols = inputs
+    full = _coo_lift(registry, labels, block)
+    _assert_same_csr(fock._embed_block(registry, labels, block), full)
+    sliced = full[:, cols]
+    _assert_same_csr(fock._embed_block(registry, labels, block, cols), sliced)
+    rows, lifted = lift_block(registry, labels, block, cols)
+    want = np.flatnonzero(np.diff(sliced.indptr))
+    assert rows.tobytes() == want.tobytes()
+    _assert_same_csr(lifted, sliced[want])
+    if len(labels) == 2:
+        _assert_same_csr(embed_mode_pair(registry, *labels, block).matrix, full)

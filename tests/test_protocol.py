@@ -18,18 +18,23 @@ from optomagnon.channels import (
     SqueezerSpec,
     SwapSpec,
     TruncationError,
+    beamsplitter_block,
     beamsplitter_unitary,
     click_measurement,
     geometric_weights,
     loss_channel,
+    loss_kraus_blocks,
     loss_kraus_operators,
     loss_kraus_sum,
+    phase_shift_block,
     phase_shift_unitary,
     squeezer_vacuum_tail,
+    swap_coupler_block,
     swap_coupler_unitary,
     thermal_state,
     thermal_truncation_weight,
     thermal_weights,
+    two_mode_squeezer_block,
     two_mode_squeezer_unitary,
 )
 from optomagnon.fock import (
@@ -944,18 +949,19 @@ def _assert_densities(stack: np.ndarray) -> None:
 def test_pipeline_block_operations_keep_a_density_a_density(
         inputs, angle, squeeze_parameter, transmissivity, nbar, efficiency, dark_click_probability):
     reg, support, rho, blocks, corner = inputs
-    stage = [beamsplitter_unitary(BeamsplitterSpec(STOKES_A, STOKES_B, angle), reg),
-             phase_shift_unitary(STOKES_A, angle, reg),
-             swap_coupler_unitary(SwapSpec(STOKES_B, MAGNON_B, angle), reg)]
+    stage = [((STOKES_A, STOKES_B), [beamsplitter_block(BeamsplitterSpec(STOKES_A, STOKES_B, angle), reg)]),
+             ((STOKES_A,), [phase_shift_block(STOKES_A, angle, reg)]),
+             ((STOKES_B, MAGNON_B), [swap_coupler_block(SwapSpec(STOKES_B, MAGNON_B, angle), reg)])]
     try:  # a squeezer tail past its bound is the only allowed failure
-        stage.append(two_mode_squeezer_unitary(SqueezerSpec(STOKES_A, MAGNON_A, squeeze_parameter), reg))
+        stage.append(((STOKES_A, MAGNON_A),
+                      [two_mode_squeezer_block(SqueezerSpec(STOKES_A, MAGNON_A, squeeze_parameter), reg)]))
     except TruncationError:
         pass
-    for op in stage:
-        _assert_densities(protocol._support_step(op.matrix, support, rho)[1])
     for mode in (STOKES_A, MAGNON_B):
-        kraus = loss_kraus_operators(reg, mode, transmissivity)
-        _assert_densities(protocol._support_loss(kraus, support, rho)[1])
+        stage.append(((mode,), loss_kraus_blocks(reg, mode, transmissivity)))
+    for labels, kraus in stage:
+        out, terms = protocol._lift_step(reg, labels, kraus, support)
+        _assert_densities(protocol._support_step(out.size, terms, rho))
 
     magnons = ModeRegistry.of((MAGNON_A, reg.cutoff_of(MAGNON_A)), (MAGNON_B, reg.cutoff_of(MAGNON_B)))
     _assert_densities(loss_kraus_sum(blocks, loss_kraus_operators(magnons, MAGNON_A, transmissivity)))
