@@ -114,10 +114,10 @@ class DetectorSpec:
     dark_click_probability: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ChannelError(f"efficiency {self.efficiency!r} outside [0, 1]")
-        if not 0.0 <= self.dark_click_probability <= 1.0:
-            raise ChannelError(f"dark_click_probability {self.dark_click_probability!r} outside [0, 1]")
+        for name in ("efficiency", "dark_click_probability"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ChannelError(f"{name} {value!r} outside [0, 1]", fields=(name,))
 
     def no_click_weights(self, cutoff: int) -> np.ndarray:
         ns = np.arange(cutoff + 1)
@@ -246,18 +246,12 @@ def loss_kraus_sum(matrices: np.ndarray, kraus: list) -> np.ndarray:
 
 def thermal_truncation_weight(mean_occupation: float, cutoff: int) -> float:
     """Weight of the untruncated geometric distribution past the cutoff."""
-    if mean_occupation == 0.0:
-        return 0.0
     s = mean_occupation / (mean_occupation + 1.0)
     return s ** (cutoff + 1)
 
 
 def geometric_weights(mean_occupation: float, cutoff: int) -> np.ndarray:
     """Untruncated thermal weights (1 - S) S^n for n = 0..cutoff, S = nbar/(nbar + 1)."""
-    if mean_occupation == 0.0:
-        weights = np.zeros(cutoff + 1)
-        weights[0] = 1.0
-        return weights
     s = mean_occupation / (mean_occupation + 1.0)
     return (1.0 - s) * s ** np.arange(cutoff + 1)
 

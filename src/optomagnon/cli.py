@@ -17,9 +17,10 @@ optics before the thermal step once: the points of a ``fidelity-sweep``
 ``squeezed_thermal``, where the occupation seeds the squeezers and each point
 carries its own state through the same lifted operators (one lift per start
 state).  Commands share none of it.
-Config keys and their types are read off ``ProtocolConfig`` (``detector.*``
-for its detector), and a key given twice is a parse error.  ``--out`` is
-replaced only when the command finishes, so a failing command leaves an
+Config keys and their types are read off ``ProtocolConfig`` (``detector.*`` for its
+detector), and a key given twice is a parse error.  A failed config check's message names
+the first of the fields its error carries that the file set (else the first of them).
+``--out`` is replaced only when the command finishes, so a failing command leaves an
 existing file as it was.
 Exit codes: 0 success, 2 config parse error, 3 domain error (also a
 ``ChannelError``, such as a squeezer past its truncation bound, and an
@@ -34,7 +35,6 @@ import json
 import logging
 import math
 import os
-import re
 import stat
 import sys
 from dataclasses import replace
@@ -120,25 +120,20 @@ def parse_config_text(text: str) -> ProtocolConfig:
     if detector_kwargs:
         try:
             kwargs["detector"] = DetectorSpec(**detector_kwargs)
-        except FockSpaceError as exc:
-            field = _offending_field(exc, detector_kwargs, prefix="detector.")
-            raise ConfigDomainError(f"field {field}: {exc}") from exc
+        except ChannelError as exc:
+            raise _field_error(exc, detector_kwargs, prefix="detector.") from exc
     if kwargs.get("nbar_override") is not None:
         logger.info("nbar_override set; temperature_k is ignored for the thermal occupation")
     try:
         return ProtocolConfig(**kwargs)
-    except (ProtocolError, FockSpaceError) as exc:
-        field = _offending_field(exc, kwargs)
-        raise ConfigDomainError(f"field {field}: {exc}") from exc
+    except ProtocolError as exc:
+        raise _field_error(exc, kwargs) from exc
 
 
-def _offending_field(exc: Exception, kwargs: dict, prefix: str = "") -> str:
-    """First config field, in file order, whose whole name (after ``prefix``) the message mentions."""
-    message = str(exc)
-    for name in kwargs:
-        if re.search(rf"\b{re.escape(name)}\b", message):
-            return repr(prefix + name)
-    return "<config>"
+def _field_error(exc: FockSpaceError, given: dict, prefix: str = "") -> ConfigDomainError:
+    """``exc`` named by the first field its check read that ``given`` sets, else by its first."""
+    field = next((name for name in exc.fields if name in given), exc.fields[0])
+    return ConfigDomainError(f"field {prefix + field!r}: {exc}")
 
 
 def load_config(path: Optional[str]) -> ProtocolConfig:

@@ -31,7 +31,11 @@ ANTISTOKES_A, ANTISTOKES_B = "antistokes_A", "antistokes_B"
 
 
 class FockSpaceError(Exception):
-    """Base class for engine errors."""
+    """Base class for engine errors; ``fields``: the parameters a failed check read, most specific first."""
+
+    def __init__(self, *args, fields: tuple[str, ...] = ()):
+        super().__init__(*args)
+        self.fields = fields
 
 
 class UnknownModeError(FockSpaceError):
@@ -266,11 +270,17 @@ def _digits(registry: ModeRegistry, labels: Sequence[str]) -> tuple[np.ndarray, 
 
 def lift_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray,
                cols: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Lift a matrix on distinct modes (row-major in their occupations) onto the sorted basis
-    columns ``cols`` of the registry: the sorted rows it reaches from them, and its
-    (rows x cols) CSR matrix there, nonzero entries only, each row in column order.  These
-    are the entries and the per-row order of the full-space lift sliced to those rows and
-    columns.  Each call builds and returns fresh arrays."""
+    """Lift a matrix on distinct modes (row-major in their occupations) onto the basis columns
+    ``cols`` of the registry, strictly increasing integer indices (a FockSpaceError otherwise):
+    the sorted rows it reaches from them, and its (rows x cols) CSR matrix there, nonzero
+    entries only, each row in column order.  These are the entries and the per-row order of
+    the full-space lift sliced to those rows and columns.  Each call builds and returns fresh
+    arrays."""
+    cols = np.asarray(cols)
+    if (cols.ndim != 1 or cols.dtype.kind not in "iu"
+            or cols.size and (cols[0] < 0 or cols[-1] >= registry.dimension) or (cols[1:] <= cols[:-1]).any()):
+        raise FockSpaceError(f"columns must be strictly increasing integers in [0, {registry.dimension}), "
+                             f"got {cols!r}")
     if len(set(labels)) != len(labels):
         raise FockSpaceError(f"a block needs distinct modes, got {tuple(labels)}")
     axes = [registry.axis_of(label) for label in labels]
@@ -290,7 +300,6 @@ def lift_block(registry: ModeRegistry, labels: Sequence[str], block: np.ndarray,
         at = np.ravel_multi_index([(indices // stride) % d for stride, d in zip(strides, dims)], dims)
         return at, indices - offsets[at]
 
-    cols = np.asarray(cols)
     bcol, rest = split(cols)
     reached = np.zeros(registry.dimension, dtype=bool)
     reached[(rest[:, None] + offsets)[block[:, bcol].T != 0]] = True

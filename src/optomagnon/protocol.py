@@ -55,7 +55,6 @@ from .channels import (
     SqueezerSpec,
     SwapSpec,
     beamsplitter_block,
-    beamsplitter_unitary,
     geometric_weights,
     loss_kraus_blocks,
     loss_kraus_operators,
@@ -167,46 +166,49 @@ class ProtocolConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ProtocolError(f"{f.name} must be finite, got {value!r}")
+                raise ProtocolError(f"{f.name} must be finite, got {value!r}", fields=(f.name,))
+            if f.type == "int" and not isinstance(value, (int, np.integer)):
+                raise ProtocolError(f"{f.name} must be an integer, got {value!r}", fields=(f.name,))
         if self.pulse_mean_photons < 0:
-            raise ProtocolError("pulse_mean_photons must be >= 0")
+            raise ProtocolError("pulse_mean_photons must be >= 0", fields=("pulse_mean_photons",))
         for name in ("stokes_probability", "stokes_probability_b"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if not 0.0 <= value <= 1.0:
-                raise ProtocolError(f"{name} must lie in [0, 1], got {value!r}")
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ProtocolError(f"{name} must lie in [0, 1], got {value!r}", fields=(name,))
         if self.magnon_frequency_hz <= 0:
-            raise ProtocolError("magnon_frequency_hz must be positive")
+            raise ProtocolError("magnon_frequency_hz must be positive", fields=("magnon_frequency_hz",))
         if self.temperature_k < 0:
-            raise ProtocolError("temperature_k must be >= 0")
+            raise ProtocolError("temperature_k must be >= 0", fields=("temperature_k",))
         if self.nbar_override is not None and self.nbar_override < 0:
-            raise ProtocolError("nbar_override must be >= 0")
+            raise ProtocolError("nbar_override must be >= 0", fields=("nbar_override",))
         if not self.thermal_ratio < 1.0:  # NaN when nbar overflows to inf
-            source = "nbar_override" if self.nbar_override is not None else "temperature_k"
-            raise ProtocolError(f"{source} makes the thermal ratio nbar/(nbar + 1) round to 1")
+            sources = (("nbar_override",) if self.nbar_override is not None
+                       else ("temperature_k", "magnon_frequency_hz"))
+            raise ProtocolError(f"{sources[0]} makes the thermal ratio nbar/(nbar + 1) round to 1",
+                                fields=sources)
         for name in ("propagation_transmissivity_a", "propagation_transmissivity_b"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ProtocolError(f"{name} must lie in [0, 1]")
+                raise ProtocolError(f"{name} must lie in [0, 1]", fields=(name,))
         if self.herald_detector_index not in (1, 2):
-            raise ProtocolError("herald_detector_index must be 1 or 2")
+            raise ProtocolError("herald_detector_index must be 1 or 2", fields=("herald_detector_index",))
         if not 0.0 <= self.read_swap_angle_rad <= math.pi / 2:
-            raise ProtocolError("read_swap_angle_rad must lie in [0, pi/2]")
+            raise ProtocolError("read_swap_angle_rad must lie in [0, pi/2]", fields=("read_swap_angle_rad",))
         for name in ("optical_cutoff", "magnon_cutoff"):
             if getattr(self, name) < 1:
-                raise ProtocolError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+                raise ProtocolError(f"{name} must be >= 1, got {getattr(self, name)!r}", fields=(name,))
         stage_dimension = ((self.optical_cutoff + 1) * (self.magnon_cutoff + 1)) ** 2
         if stage_dimension > PIPELINE_MAX_DIMENSION:
             raise ProtocolError(
                 f"optical_cutoff = {self.optical_cutoff} and magnon_cutoff = "
                 f"{self.magnon_cutoff} give a stage dimension of {stage_dimension}, above "
-                f"the limit {PIPELINE_MAX_DIMENSION}; lower the cutoffs")
+                f"the limit {PIPELINE_MAX_DIMENSION}; lower the cutoffs",
+                fields=("optical_cutoff", "magnon_cutoff"))
         if self.thermal_model not in ("mixture_overlay", "squeezed_thermal"):
-            raise ProtocolError(f"unknown thermal_model {self.thermal_model!r}")
+            raise ProtocolError(f"unknown thermal_model {self.thermal_model!r}", fields=("thermal_model",))
         if self.magnon_decay_delay_ratio < 0:
-            raise ProtocolError("magnon_decay_delay_ratio must be >= 0")
+            raise ProtocolError("magnon_decay_delay_ratio must be >= 0", fields=("magnon_decay_delay_ratio",))
         if self.rng_seed < 0:
-            raise ProtocolError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
+            raise ProtocolError(f"rng_seed must be >= 0, got {self.rng_seed!r}", fields=("rng_seed",))
         if self.pulse_mean_photons > REGIME_LIMIT:
             warnings.warn(
                 f"pulse_mean_photons = {self.pulse_mean_photons} is outside the weak-pulse "
@@ -434,13 +436,13 @@ def _front_optics(config: ProtocolConfig) -> tuple[ModeRegistry, list, float]:
     return registry, steps, truncation
 
 
-def _lift_front(config: ProtocolConfig, optics: Optional[tuple] = None) -> tuple[list, np.ndarray, float]:
-    """The `_front_optics` of ``config`` (given as ``optics``, or built here), each step
-    lifted (`_lift_step`) onto the support the steps before it leave, from the start: the
-    vacuum, or the whole magnon block of Stokes sector (0, 0) when ``squeezed_thermal`` seeds
-    the squeezers.  Returns the steps as (support size, terms) for `_support_step`, the
-    final support and the squeezer-tail truncation.  The chain depends only on the start."""
-    registry, steps, truncation = _front_optics(config) if optics is None else optics
+def _lift_front(config: ProtocolConfig, optics: tuple) -> tuple[list, np.ndarray, float]:
+    """The `_front_optics` ``optics`` of ``config``, each step lifted (`_lift_step`) onto the
+    support the steps before it leave, from the start: the vacuum, or the whole magnon block
+    of Stokes sector (0, 0) when ``squeezed_thermal`` seeds the squeezers.  Returns the steps
+    as (support size, terms) for `_support_step`, the final support and the squeezer-tail
+    truncation.  The chain depends only on the start."""
+    registry, steps, truncation = optics
     support = np.arange((config.magnon_cutoff + 1) ** 2 if _seeded_thermal(config) else 1)
     chain = []
     for labels, blocks in steps:
@@ -449,15 +451,14 @@ def _lift_front(config: ProtocolConfig, optics: Optional[tuple] = None) -> tuple
     return chain, support, truncation
 
 
-def _optical_front(config: ProtocolConfig,
-                   lifted: Optional[tuple] = None) -> tuple[np.ndarray, float, tuple[int, int]]:
+def _optical_front(config: ProtocolConfig, lifted: tuple) -> tuple[np.ndarray, float, tuple[int, int]]:
     """The entangling optics up to (not including) the herald detectors, before the thermal
-    step: the start state is carried through the `_lift_front` steps of ``config`` (given as
-    ``lifted``, or lifted here), then split into Stokes sectors.  Returns the read-only
-    sector stack, the squeezer-tail truncation and the magnon corner (levels below it per
-    mode) outside which the stack is zero.  The temperature is read only when
-    ``squeezed_thermal`` seeds the squeezers."""
-    chain, support, truncation = _lift_front(config) if lifted is None else lifted
+    step: the start state is carried through the `_lift_front` steps ``lifted`` of
+    ``config``, then split into Stokes sectors.  Returns the read-only sector stack, the
+    squeezer-tail truncation and the magnon corner (levels below it per mode) outside which
+    the stack is zero.  The temperature is read only when ``squeezed_thermal`` seeds the
+    squeezers."""
+    chain, support, truncation = lifted
     co, cm = config.optical_cutoff, config.magnon_cutoff
     d_m = (cm + 1) ** 2
 
@@ -507,7 +508,7 @@ def _thermal_step(config: ProtocolConfig, optical: tuple) -> EntangleFrontState:
 def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     """Run the entangling optics up to (not including) the herald detectors, then the
     thermal step."""
-    return _thermal_step(config, _optical_front(config))
+    return _thermal_step(config, _optical_front(config, _lift_front(config, _front_optics(config))))
 
 
 def _port_probability(stack: np.ndarray, axis: int, weights: np.ndarray) -> float:
@@ -698,20 +699,20 @@ class _ReadOptics:
     diagonal blocks gathered: the closing beamsplitter conserves the photon
     number and the detectors read only its output diagonals.  Stage operators
     are lifted on the modes the stage touches (the swaps onto their
-    anti-Stokes-vacuum columns only), with the entries and per-row order of the
-    full-space lift there, so kept elements match the full-space sandwich bit
-    for bit.
+    anti-Stokes-vacuum columns only, the closing beamsplitter onto each shell),
+    with the entries and per-row order of the full-space lift there, so kept
+    elements match the full-space sandwich bit for bit.
     """
 
     def __init__(self, config: ProtocolConfig, rho: np.ndarray):
         co, cm, theta = config.optical_cutoff, config.magnon_cutoff, config.read_swap_angle_rad
         self.antistokes = ModeRegistry.of((ANTISTOKES_A, co), (ANTISTOKES_B, co))
         self._anti_a_numbers, anti_b = np.divmod(np.arange(self.antistokes.dimension), co + 1)
-        # basis indices of each anti-Stokes photon-number shell, and the closing beamsplitter on it
+        # basis indices of each anti-Stokes photon-number shell, and the closing beamsplitter lifted onto it
         self.shells = [np.flatnonzero(self._anti_a_numbers + anti_b == n) for n in range(2 * co + 1)]
-        closing_bs = beamsplitter_unitary(
-            BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.antistokes).matrix
-        self._closing = [closing_bs[idx][:, idx] for idx in self.shells]
+        closing_bs = beamsplitter_block(BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.antistokes)
+        self._closing = [lift_block(self.antistokes, (ANTISTOKES_A, ANTISTOKES_B), closing_bs, idx)[1]
+                         for idx in self.shells]
         # the phase-independent decay, swaps and losses of the stack ``rho``,
         # as blocks [sector, n_magnon_a, n_magnon_b, anti-Stokes shell^2]
         survival = math.exp(-config.magnon_decay_delay_ratio)  # 1, lossless, without decay

@@ -660,6 +660,16 @@ def test_an_occupation_overflowing_to_inf_is_a_domain_error(tmp_path, capsys):
                                        "the thermal ratio nbar/(nbar + 1) round to 1\n")
 
 
+@pytest.mark.parametrize("text, field", [
+    ("magnon_frequency_hz = 1e-300\n", "magnon_frequency_hz"),
+    ("nbar_override = 1e16\ntemperature_k = 1e30\n", "nbar_override"),
+    ("magnon_cutoff = 40\n", "magnon_cutoff"),
+])
+def test_a_check_reading_several_fields_names_the_one_the_file_set(tmp_path, capsys, text, field):
+    assert _run(["witness-sweep", "--config", _write(tmp_path, "c.cfg", text)]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err.startswith(f"domain error: field {field!r}: ")
+
+
 def test_an_occupation_whose_exponent_underflows_is_a_domain_error(tmp_path, capsys):
     # h nu / k T underflows to 0, so nbar is inf (not 0, as for k T underflowing)
     cfg = _write(tmp_path, "hot.cfg", "magnon_frequency_hz = 1e-30\ntemperature_k = 1e300\n")

@@ -238,6 +238,18 @@ def test_pair_lift_on_reversed_modes_equals_a_dense_reference():
     assert np.all(lifted.data != 0)
 
 
+@pytest.mark.parametrize("cols", [[-1], [2, 2], [9], [3, 1], [[0, 1]], [0.0, 1.0], [True]])
+def test_lift_block_rejects_columns_that_are_not_increasing_basis_indices(cols):
+    reg = ModeRegistry.of(("a", 2), ("b", 2))
+    with pytest.raises(FockSpaceError, match="columns must be strictly increasing integers in"):
+        lift_block(reg, ("a",), np.eye(3), np.array(cols))
+
+
+def test_lift_block_accepts_no_columns():
+    rows, lifted = lift_block(ModeRegistry.of(("a", 2), ("b", 2)), ("a",), np.eye(3), np.arange(0))
+    assert rows.size == 0 and lifted.shape == (0, 0)
+
+
 
 def _coo_lift(registry, labels, block):
     """Reference full-space lift: the block put on every column of the registry as a COO

@@ -60,6 +60,8 @@ from optomagnon.protocol import (
     ProtocolError,
     ProtocolRegimeWarning,
     ZeroIntensityError,
+    _front_optics,
+    _lift_front,
     _optical_front,
     _stokes_sector_blocks,
     _thermal_overlay,
@@ -126,6 +128,14 @@ def test_oversized_cutoffs_raise_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert ProtocolConfig(optical_cutoff=8, magnon_cutoff=8).optical_cutoff == 8
+
+
+@pytest.mark.parametrize("name", ["optical_cutoff", "magnon_cutoff", "herald_detector_index", "rng_seed"])
+@pytest.mark.parametrize("value", [3.5, 2.0])
+def test_a_non_integer_integer_field_is_an_error_carrying_it(name, value):
+    with pytest.raises(ProtocolError, match=f"^{name} must be an integer, got {value!r}$") as err:
+        ProtocolConfig(**{name: value})
+    assert err.value.fields == (name,)
 
 
 def test_regime_warnings():
@@ -761,7 +771,8 @@ def test_sweep_rejects_a_field_it_cannot_share_the_optics_over():
 
 
 def test_shared_optical_front_is_read_only():
-    blocks, _, _ = _optical_front(ProtocolConfig())
+    cfg = ProtocolConfig()
+    blocks, _, _ = _optical_front(cfg, _lift_front(cfg, _front_optics(cfg)))
     with pytest.raises(ValueError):
         blocks[0, 0] += 1.0
 
@@ -794,7 +805,7 @@ def test_corner_overlay_is_bit_equal_to_the_whole_block_overlay(
         optical_cutoff, magnon_cutoff, temperatures):
     cfg = ProtocolConfig(optical_cutoff=optical_cutoff, magnon_cutoff=magnon_cutoff,
                          propagation_transmissivity_b=0.8, stokes_probability_b=0.02)
-    blocks, _, corner = _optical_front(cfg)
+    blocks, _, corner = _optical_front(cfg, _lift_front(cfg, _front_optics(cfg)))
     assert corner == (min(optical_cutoff, magnon_cutoff) + 1,) * 2
     dims = cfg.magnon_registry().dims
     underflowed = False

@@ -81,3 +81,16 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(block, "README.md", "exec"), {})
     assert float(printed.getvalue().splitlines()[-1]) < 1.0  # the quick start's "< 1: entangled"
+
+
+@pytest.mark.parametrize("module, cls", [("protocol.py", "ProtocolConfig"), ("channels.py", "DetectorSpec")])
+def test_every_config_check_names_the_fields_it_read(module, cls):
+    # the CLI names the offending config key from these fields alone
+    tree = ast.parse((ROOT / "src" / "optomagnon" / module).read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+    (check,) = [node for node in body.body if isinstance(node, ast.FunctionDef)
+                and node.name == "__post_init__"]
+    raises = [node for node in ast.walk(check) if isinstance(node, ast.Raise)]
+    assert raises
+    assert [node.lineno for node in raises
+            if not any(keyword.arg == "fields" for keyword in node.exc.keywords)] == []
