@@ -30,6 +30,7 @@ from .fock import (
     ModeOperator,
     ModeRegistry,
     _digits,
+    _embed_block,
     embed_mode_pair,
     embed_single_mode,
     partial_trace,
@@ -218,8 +219,7 @@ def loss_kraus_blocks(registry: ModeRegistry, mode: str, transmissivity: float) 
 def loss_kraus_operators(registry: ModeRegistry, mode: str, transmissivity: float) -> list:
     """`loss_kraus_blocks` lifted to the registry as CSR matrices; the lossless map gives an
     empty list, which `loss_kraus_sum` applies by returning its input untouched."""
-    return [embed_single_mode(registry, mode, block).matrix
-            for block in loss_kraus_blocks(registry, mode, transmissivity)]
+    return [_embed_block(registry, (mode,), block) for block in loss_kraus_blocks(registry, mode, transmissivity)]
 
 
 def loss_channel(rho: DensityOperator, mode: str, transmissivity: float) -> DensityOperator:
@@ -242,12 +242,6 @@ def loss_kraus_sum(matrices: np.ndarray, kraus: list) -> np.ndarray:
     for op in kraus:
         out += sandwich(op, matrices)
     return out
-
-
-def thermal_truncation_weight(mean_occupation: float, cutoff: int) -> float:
-    """Weight of the untruncated geometric distribution past the cutoff."""
-    s = mean_occupation / (mean_occupation + 1.0)
-    return s ** (cutoff + 1)
 
 
 def geometric_weights(mean_occupation: float, cutoff: int) -> np.ndarray:

@@ -24,7 +24,10 @@ the first of the fields its error carries that the file set (else the first of t
 existing file as it was.
 Exit codes: 0 success, 2 config parse error, 3 domain error (also a
 ``ChannelError``, such as a squeezer past its truncation bound, and an
-``--out`` that cannot be opened), 4 runtime error, 5 oracle-compare failure.
+``--out`` that cannot be opened), 4 runtime error (also an output closed before
+the command finished, such as stdout piped into ``head``, and a ``product_thermal``
+``baseline`` at zero thermal occupation, whose magnon vacuum sends no anti-Stokes
+light), 5 oracle-compare failure.
 """
 
 from __future__ import annotations
@@ -431,6 +434,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DOMAIN_ERROR
     except (FockSpaceError, montecarlo.EstimatorError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
+    except BrokenPipeError as exc:
+        if not args.out:  # what stdout still buffers is flushed at exit, now into devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"runtime error: output closed before the command finished ({exc})", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     finally:
         logger.setLevel(level)

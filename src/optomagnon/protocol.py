@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.constants
 
 from .channels import (
     BeamsplitterSpec,
@@ -62,7 +61,6 @@ from .channels import (
     phase_shift_block,
     squeezer_vacuum_tail,
     swap_coupler_block,
-    thermal_truncation_weight,
     thermal_weights,
     two_mode_squeezer_block,
 )
@@ -123,10 +121,10 @@ def mean_thermal_occupation(frequency_hz: float, temperature_k: float) -> float:
         raise ProtocolError(f"frequency must be positive, got {frequency_hz!r}")
     if temperature_k <= 0:
         raise ProtocolError(f"temperature must be positive, got {temperature_k!r}")
-    kt = scipy.constants.k * temperature_k
+    kt = 1.380649e-23 * temperature_k  # the exact SI Boltzmann constant k, in J/K
     if kt == 0.0:  # k T underflows: exp(-h nu / k T) is 0
         return 0.0
-    x = scipy.constants.h * frequency_hz / kt
+    x = 6.62607015e-34 * frequency_hz / kt  # the exact SI Planck constant h, in J s
     if x == 0.0:  # h nu / k T underflows: nbar ~ 1/x is past the largest double
         return math.inf
     try:
@@ -404,11 +402,14 @@ def _product_thermal(nbar: float, cutoff: int) -> np.ndarray:
     return np.kron(np.diag(w), np.diag(w)).astype(complex)
 
 
-def _front_optics(config: ProtocolConfig) -> tuple[ModeRegistry, list, float]:
-    """The small blocks of the entangling optics up to (not including) the herald detectors:
-    the (Stokes A, Stokes B, magnon A, magnon B) registry, the steps in order, each its mode
-    labels and its Kraus blocks (a unitary is one block, the lossless loss has none), and the
-    squeezer-tail truncation.  None of them is lifted, and none reads the temperature."""
+def _lift_front(config: ProtocolConfig) -> tuple[list, np.ndarray, float]:
+    """The entangling optics of ``config`` up to (not including) the herald detectors, on
+    (Stokes A, Stokes B, magnon A, magnon B): each step's small blocks (its Kraus blocks; a
+    unitary is one block, the lossless loss has none) lifted (`_lift_step`) onto the support
+    the steps before it leave, from the start: the vacuum, or the whole magnon block of
+    Stokes sector (0, 0) when ``squeezed_thermal`` seeds the squeezers.  Returns the steps as
+    (support size, terms) for `_support_step`, the final support and the squeezer-tail
+    truncation.  The chain depends only on the start; the temperature is read only to pick it."""
     co, cm = config.optical_cutoff, config.magnon_cutoff
     registry = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
 
@@ -433,17 +434,8 @@ def _front_optics(config: ProtocolConfig) -> tuple[ModeRegistry, list, float]:
         steps.append(((stokes,), loss_kraus_blocks(registry, stokes, eta)))
     herald_bs = beamsplitter_block(BeamsplitterSpec(STOKES_A, STOKES_B), registry)
     steps.append(((STOKES_A, STOKES_B), [herald_bs]))
-    return registry, steps, truncation
 
-
-def _lift_front(config: ProtocolConfig, optics: tuple) -> tuple[list, np.ndarray, float]:
-    """The `_front_optics` ``optics`` of ``config``, each step lifted (`_lift_step`) onto the
-    support the steps before it leave, from the start: the vacuum, or the whole magnon block
-    of Stokes sector (0, 0) when ``squeezed_thermal`` seeds the squeezers.  Returns the steps
-    as (support size, terms) for `_support_step`, the final support and the squeezer-tail
-    truncation.  The chain depends only on the start."""
-    registry, steps, truncation = optics
-    support = np.arange((config.magnon_cutoff + 1) ** 2 if _seeded_thermal(config) else 1)
+    support = np.arange((cm + 1) ** 2 if _seeded_thermal(config) else 1)
     chain = []
     for labels, blocks in steps:
         support, terms = _lift_step(registry, labels, blocks, support)
@@ -491,7 +483,7 @@ def _thermal_step(config: ProtocolConfig, optical: tuple) -> EntangleFrontState:
     blocks, truncation, corner = optical
     nbar = config.mean_thermal_magnons
     if _seeded_thermal(config):
-        truncation += 2.0 * thermal_truncation_weight(nbar, config.magnon_cutoff)
+        truncation += 2.0 * config.thermal_ratio ** (config.magnon_cutoff + 1)
     elif nbar > 0.0:
         blocks, leak = _thermal_overlay(blocks, nbar, config.magnon_registry().dims, corner)
         truncation += leak
@@ -508,7 +500,7 @@ def _thermal_step(config: ProtocolConfig, optical: tuple) -> EntangleFrontState:
 def entangle_front_state(config: ProtocolConfig) -> EntangleFrontState:
     """Run the entangling optics up to (not including) the herald detectors, then the
     thermal step."""
-    return _thermal_step(config, _optical_front(config, _lift_front(config, _front_optics(config))))
+    return _thermal_step(config, _optical_front(config, _lift_front(config)))
 
 
 def _port_probability(stack: np.ndarray, axis: int, weights: np.ndarray) -> float:
@@ -544,20 +536,20 @@ def entangle_sweep(config: ProtocolConfig, field: str,
     ``mixture_overlay`` the optical front does not read the temperature, so it is built
     once and only the thermal step and the herald run per point; ``squeezed_thermal``
     seeds the squeezers with each point's occupation, so each point carries its own state
-    through the front's blocks, which are built once and lifted once per start."""
+    through the front's lifted blocks, built and lifted once per start."""
     if field not in THERMAL_SWEEP_FIELDS:
         raise ProtocolError(f"a thermal sweep varies one of {THERMAL_SWEEP_FIELDS}, not {field!r} "
                             "(for a thermal-ratio sweep use nbar_override = S/(1-S))")
     if field == "temperature_k" and config.nbar_override is not None:
         raise ProtocolError("sweeping temperature_k changes nothing while nbar_override is set "
                             "(nbar_override takes precedence); sweep nbar_override or unset it")
-    points, optics, lifted, optical = [], _front_optics(config), {}, None
+    points, lifted, optical = [], {}, None
     for value in values:
         cfg = replace(config, **{field: float(value)})
         if optical is None or cfg.thermal_model == "squeezed_thermal":
             seeded = _seeded_thermal(cfg)
             if seeded not in lifted:
-                lifted[seeded] = _lift_front(cfg, optics)
+                lifted[seeded] = _lift_front(cfg)
             optical = _optical_front(cfg, lifted[seeded])
         points.append((cfg, _herald(cfg, _thermal_step(cfg, optical))))
     return points
@@ -815,6 +807,10 @@ def separable_baseline(config: ProtocolConfig, phase_grid: Sequence[float],
     registry = config.magnon_registry()
     if baseline == "product_thermal":
         mat = _product_thermal(config.mean_thermal_magnons, cm)
+        if not mat[1:].any():  # the magnon vacuum |0, 0> alone
+            raise ZeroIntensityError(
+                "the product_thermal baseline at zero thermal occupation is the magnon vacuum, so "
+                "no anti-Stokes light reaches the detectors; the classical_mixture baseline has light")
     elif baseline == "classical_mixture":
         mat = np.zeros((registry.dimension, registry.dimension), dtype=complex)
         mat[registry.index_of((0, 1)), registry.index_of((0, 1))] = 0.5

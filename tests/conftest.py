@@ -22,3 +22,17 @@ def lifts(monkeypatch):
         if name.startswith("optomagnon") and getattr(module, "lift_block", None) is lift:
             monkeypatch.setattr(module, "lift_block", spy)
     return keys
+
+
+@pytest.fixture
+def mode_operators(monkeypatch):
+    """One entry per `fock.ModeOperator` built in the test, its registry."""
+    built = []
+    check = fock.ModeOperator.__post_init__
+
+    def spy(self):
+        built.append(self.registry)
+        check(self)
+
+    monkeypatch.setattr(fock.ModeOperator, "__post_init__", spy)
+    return built

@@ -23,7 +23,6 @@ from optomagnon.channels import (
     phase_shift_unitary,
     swap_coupler_unitary,
     thermal_state,
-    thermal_truncation_weight,
     two_mode_squeezer_unitary,
 )
 from optomagnon.fock import (
@@ -305,7 +304,7 @@ def test_thermal_mean_within_truncation_weight():
     for nbar, cutoff in ((0.036, 3), (0.3, 6), (1.0, 12)):
         th = thermal_state(nbar, cutoff)
         mean = expectation(th, number_operator(th.registry, "thermal")).real
-        weight = thermal_truncation_weight(nbar, cutoff)
+        weight = (nbar / (nbar + 1.0)) ** (cutoff + 1)
         assert abs(mean - nbar) <= 10 * (cutoff + 1) * weight + 1e-12
 
 

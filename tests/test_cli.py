@@ -1,7 +1,10 @@
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 
 from optomagnon.cli import (
     _FIELD_TYPES,
+    COMMANDS,
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
     EXIT_ORACLE_FAILURE,
@@ -20,7 +24,10 @@ from optomagnon.cli import (
     main,
     parse_config_text,
     parse_sweep,
+    write_table,
 )
+from optomagnon.fock import FockSpaceError
+from optomagnon.montecarlo import EstimatorError
 from optomagnon.protocol import ProtocolConfig, ProtocolRegimeWarning
 
 COUNTING_CFG = ("pulse_mean_photons = 0.1\nstokes_probability = 0.1\n"
@@ -196,7 +203,7 @@ def test_fidelity_sweep_reference_rows(tmp_path):
     assert abs(float(row_100mk[3]) - float(row_100mk[4])) < 0.01
 
 
-def test_fidelity_sweep_lifts_nothing_after_its_first_point(tmp_path, lifts):
+def test_fidelity_sweep_lifts_nothing_after_its_first_point(tmp_path, lifts, mode_operators):
     for model in ("mixture_overlay", "squeezed_thermal"):
         cfg = _write(tmp_path, "model.cfg", f"thermal_model = {model}\n")
         runs = []
@@ -208,6 +215,7 @@ def test_fidelity_sweep_lifts_nothing_after_its_first_point(tmp_path, lifts):
         assert runs[0], model
         assert runs[1] == runs[0], model
         assert len(set(runs[1])) == len(runs[1]), model
+    assert mode_operators == []
 
 
 def test_fidelity_sweep_zero_thermal_row(tmp_path):
@@ -334,6 +342,51 @@ def test_each_herald_floor_is_a_runtime_error(tmp_path, capsys, detector_line, m
     assert _run(["fidelity-sweep", "--config", cfg, "--sweep", "temperature_k:0.1:0.1:1",
                  "--out", str(tmp_path / "o.csv")]) == EXIT_RUNTIME_ERROR
     assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
+@pytest.mark.parametrize("line", ["nbar_override = 0", "temperature_k = 0"])
+def test_product_thermal_baseline_at_zero_occupation_says_no_light_reaches_the_detectors(
+        tmp_path, capsys, line):
+    cfg = _write(tmp_path, "cold.cfg", line + "\n")
+    assert _run(["baseline", "--config", cfg, "--grid-points", "3"]) == EXIT_RUNTIME_ERROR
+    assert capsys.readouterr().err == (
+        "runtime error: the product_thermal baseline at zero thermal occupation is the magnon "
+        "vacuum, so no anti-Stokes light reaches the detectors; the classical_mixture baseline "
+        "has light\n")
+    assert _run(["baseline", "--config", cfg, "--grid-points", "3", "--baseline", "classical_mixture",
+                 "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+
+def test_a_stdout_closed_early_is_a_runtime_error_without_a_traceback():
+    # 200000 records are megabytes, far past a pipe's buffer: the writer meets the closed end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "optomagnon.cli", "mc-run", "--trials", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"trial_index,stokes_click,antistokes_click\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_RUNTIME_ERROR
+    assert "Traceback" not in err
+    assert err.startswith("runtime error: output closed before the command finished")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (FockSpaceError("lost trace"), EXIT_RUNTIME_ERROR, "runtime error: lost trace"),
+    (EstimatorError("no trials"), EXIT_RUNTIME_ERROR, "runtime error: no trials"),
+    (None, EXIT_DOMAIN_ERROR, "domain error: unknown output format 'xml'"),
+])
+def test_a_runner_error_exits_with_its_code(monkeypatch, capsys, error, code, message):
+    def runner(config, fmt, out):
+        if error is not None:
+            raise error
+        write_table(("a",), [(1,)], "xml", out)
+
+    monkeypatch.setitem(COMMANDS, "mc-run", (runner, ()))
+    assert _run(["mc-run"]) == code
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_a_failing_command_leaves_an_existing_out_unchanged(tmp_path):

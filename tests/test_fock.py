@@ -13,6 +13,7 @@ from optomagnon.fock import (
     ModeRegistry,
     MultiModeState,
     NormalizationError,
+    RegistryMismatchError,
     UnknownModeError,
     apply_unitary,
     embed_mode_pair,
@@ -306,3 +307,45 @@ def test_lifts_equal_the_coo_lift_sliced_the_same_way(inputs):
     _assert_same_csr(lifted, sliced[want])
     if len(labels) == 2:
         _assert_same_csr(embed_mode_pair(registry, *labels, block).matrix, full)
+
+
+_SIX = ModeRegistry.of(("a", 1), ("b", 2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ModeRegistry.of(("", 1)), FockSpaceError, "nonempty", id="empty-label"),
+    pytest.param(lambda: _SIX.index_of((0,)), FockSpaceError, "occupation has 1 entries", id="index-length"),
+    pytest.param(lambda: MultiModeState(_SIX, np.zeros(5)), RegistryMismatchError, "amplitude vector",
+                 id="state-shape"),
+    pytest.param(lambda: MultiModeState(_SIX, np.full(6, np.nan)).norm, NormalizationError, "not finite",
+                 id="state-norm-nan"),
+    pytest.param(lambda: DensityOperator(_SIX, np.zeros((5, 5))), RegistryMismatchError, "matrix shape",
+                 id="density-shape"),
+    pytest.param(lambda: DensityOperator.product(_SIX, [np.eye(2)]), RegistryMismatchError,
+                 "one factor per mode", id="product-count"),
+    pytest.param(lambda: DensityOperator.product(_SIX, [np.eye(2), np.eye(2)]), RegistryMismatchError,
+                 "factor for mode 'b'", id="product-shape"),
+    pytest.param(lambda: DensityOperator(_SIX, np.zeros((6, 6))).normalized(), NormalizationError,
+                 "zero-trace", id="normalized-zero"),
+    pytest.param(lambda: DensityOperator(_SIX, np.eye(6) / 3).check(), NormalizationError,
+                 "differs from 1", id="check-trace"),
+    pytest.param(lambda: DensityOperator(_SIX, np.diag([1.5, -0.5, 0, 0, 0, 0])).check(),
+                 NormalizationError, "negative eigenvalue", id="check-positivity"),
+    pytest.param(lambda: ModeOperator(_SIX, sp.eye(5)), RegistryMismatchError, "operator shape",
+                 id="operator-shape"),
+    pytest.param(lambda: lift_block(_SIX, ("a", "a"), np.eye(4), np.arange(6)), FockSpaceError,
+                 "distinct modes", id="lift-repeated-mode"),
+    pytest.param(lambda: lift_block(_SIX, ("a", "b"), np.eye(4), np.arange(6)), RegistryMismatchError,
+                 "block shape", id="lift-block-shape"),
+    pytest.param(lambda: apply_unitary(ModeOperator(_SIX, sp.eye(6)), ModeOperator(_SIX, sp.eye(6))),
+                 TypeError, "cannot apply a unitary to ModeOperator", id="apply-to-operator"),
+    pytest.param(lambda: apply_unitary(MultiModeState.vacuum(ModeRegistry.of(("c", 5))),
+                                       ModeOperator(_SIX, sp.eye(6))),
+                 RegistryMismatchError, "registries differ", id="apply-other-registry"),
+    pytest.param(lambda: fidelity_with_pure(DensityOperator(_SIX, 2 * np.eye(6)),
+                                            MultiModeState.vacuum(_SIX)),
+                 NormalizationError, "outside \\[0, 1\\]", id="fidelity-range"),
+])
+def test_each_shape_registry_and_invariant_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

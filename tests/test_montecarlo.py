@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 from dataclasses import replace
@@ -285,3 +286,22 @@ def test_bad_distributions_raise_before_any_draw(p):
         np.random.default_rng(0).choice(16, size=1, p=p)
     with pytest.raises(ValueError):
         _draw_chunks(p, 10, [1])
+
+
+def _stokes_only_counts():
+    counts = np.zeros((4, 4), dtype=np.int64)
+    counts[1, 0] = 5  # Stokes detector 1 clicked, anti-Stokes never did
+    return counts
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ClickRecord(0, "none", "sideways"), ValueError, "bad anti-Stokes outcome 'sideways'",
+                 id="record-outcome"),
+    pytest.param(lambda: estimate_g2(_stokes_only_counts(), 1, 1), EstimatorError,
+                 "zero anti-Stokes counts at detector 1", id="zero-anti-stokes"),
+    pytest.param(lambda: write_records([], io.StringIO(), "xml"), EstimatorError,
+                 "unknown record format 'xml'", id="record-format"),
+])
+def test_each_record_and_estimator_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

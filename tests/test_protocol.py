@@ -32,7 +32,6 @@ from optomagnon.channels import (
     swap_coupler_block,
     swap_coupler_unitary,
     thermal_state,
-    thermal_truncation_weight,
     thermal_weights,
     two_mode_squeezer_block,
     two_mode_squeezer_unitary,
@@ -60,7 +59,6 @@ from optomagnon.protocol import (
     ProtocolError,
     ProtocolRegimeWarning,
     ZeroIntensityError,
-    _front_optics,
     _lift_front,
     _optical_front,
     _stokes_sector_blocks,
@@ -654,7 +652,7 @@ class _DenseFront:
             rho, leak = self._overlay(rho, nbar)
             truncation += leak
         elif seeded_thermal:
-            truncation += 2.0 * thermal_truncation_weight(nbar, cm)
+            truncation += 2.0 * (nbar / (nbar + 1.0)) ** (cm + 1)
         drift = abs(rho.trace - 1.0)
         truncation += drift
         if drift > 0:
@@ -772,7 +770,7 @@ def test_sweep_rejects_a_field_it_cannot_share_the_optics_over():
 
 def test_shared_optical_front_is_read_only():
     cfg = ProtocolConfig()
-    blocks, _, _ = _optical_front(cfg, _lift_front(cfg, _front_optics(cfg)))
+    blocks, _, _ = _optical_front(cfg, _lift_front(cfg))
     with pytest.raises(ValueError):
         blocks[0, 0] += 1.0
 
@@ -805,7 +803,7 @@ def test_corner_overlay_is_bit_equal_to_the_whole_block_overlay(
         optical_cutoff, magnon_cutoff, temperatures):
     cfg = ProtocolConfig(optical_cutoff=optical_cutoff, magnon_cutoff=magnon_cutoff,
                          propagation_transmissivity_b=0.8, stokes_probability_b=0.02)
-    blocks, _, corner = _optical_front(cfg, _lift_front(cfg, _front_optics(cfg)))
+    blocks, _, corner = _optical_front(cfg, _lift_front(cfg))
     assert corner == (min(optical_cutoff, magnon_cutoff) + 1,) * 2
     dims = cfg.magnon_registry().dims
     underflowed = False
@@ -1056,3 +1054,19 @@ def test_trace_distance_basic():
     b = thermal_final_state(0.1, +1)
     assert trace_distance(a, a) < 1e-14
     assert 0.0 < trace_distance(a, b) < 1.0
+
+
+_VACUUM_ONLY = np.zeros((2, 2, 2, 2))
+_VACUUM_ONLY[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ideal_target_state(0), ProtocolError, "sign must be", id="superposition-sign"),
+    pytest.param(lambda: JointStatistics(0.0, _VACUUM_ONLY, DetectorSpec()).g2_click(1, 1),
+                 ZeroIntensityError, "click rate vanished", id="g2-click-no-light"),
+    pytest.param(lambda: trace_distance(thermal_state(0.1, 2), ideal_target_state(1, 1).to_density()),
+                 ProtocolError, "matching registries", id="trace-distance-registries"),
+])
+def test_each_protocol_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

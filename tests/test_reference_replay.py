@@ -4,8 +4,9 @@
 the argv and the output (or, for ``mc-run``, its sha256) that the CLI wrote
 at the default benchmark seed.  Replaying every stored op through
 ``cli.main`` with the benchmark's own argv must reproduce those bytes, a
-replayed op must lift each stage operator once (no block lifted twice),
-and every function the benchmark's tracer wraps must still exist by name.
+replayed op must lift each stage operator once (no block lifted twice) and
+build no full-space ``ModeOperator``, and every function the benchmark's
+tracer wraps must still exist by name.
 This file only reads ``perfbench/``.
 """
 
@@ -54,10 +55,11 @@ def test_first_stored_op_of_every_kind_is_byte_identical(tmp_path, op):
 
 @pytest.mark.parametrize("op", [pytest.param(op, id=name)
                                 for name, index, op in STORED_OPS if index == 0])
-def test_each_command_lifts_each_stage_operator_once(tmp_path, op, lifts):
+def test_each_command_lifts_each_stage_operator_once(tmp_path, op, lifts, mode_operators):
     _replay(tmp_path, op)
     assert lifts
     assert len(set(lifts)) == len(lifts)
+    assert mode_operators == []  # the stage blocks are lifted as bare CSR matrices
 
 
 @pytest.mark.parametrize("op", [pytest.param(op, id=f"{name}-{index}")

@@ -3,7 +3,10 @@
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,13 @@ def test_every_config_check_names_the_fields_it_read(module, cls):
     assert raises
     assert [node.lineno for node in raises
             if not any(keyword.arg == "fields" for keyword in node.exc.keywords)] == []
+
+
+def test_importing_the_cli_loads_no_scipy_constants():
+    # h and k are written out as their exact SI values; the scipy.constants import costs ~10 ms
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", "import sys, optomagnon.cli; print(sorted(sys.modules))"],
+                            env=env, capture_output=True, text=True, check=True).stdout
+    assert "'optomagnon.cli'" in loaded
+    assert "'scipy.constants'" not in loaded
