@@ -1,4 +1,4 @@
-"""Physical building blocks: unitaries, loss maps, thermal states, click POVMs.
+"""Physical building blocks: unitaries, loss maps, thermal weights, click POVMs.
 
 Unitaries are built by exponentiating the truncated generator on the one- or
 two-mode subspace they act on (skew-Hermitian generator, so the result is
@@ -256,12 +256,6 @@ def thermal_weights(mean_occupation: float, cutoff: int) -> np.ndarray:
         raise ChannelError(f"mean occupation {mean_occupation!r} must be >= 0")
     weights = geometric_weights(mean_occupation, cutoff)
     return weights / weights.sum()
-
-
-def thermal_state(mean_occupation: float, cutoff: int) -> DensityOperator:
-    """Single-mode thermal state, renormalized over the truncated basis."""
-    registry = ModeRegistry.of(("thermal", cutoff))
-    return DensityOperator(registry, np.diag(thermal_weights(mean_occupation, cutoff).astype(complex)))
 
 
 class ClickOutcome(NamedTuple):

@@ -22,12 +22,14 @@ detector), and a key given twice is a parse error.  A failed config check's mess
 the first of the fields its error carries that the file set (else the first of them).
 ``--out`` is replaced only when the command finishes, so a failing command leaves an
 existing file as it was.
-Exit codes: 0 success, 2 config parse error, 3 domain error (also a
-``ChannelError``, such as a squeezer past its truncation bound, and an
-``--out`` that cannot be opened), 4 runtime error (also an output closed before
-the command finished, such as stdout piped into ``head``, and a ``product_thermal``
-``baseline`` at zero thermal occupation, whose magnon vacuum sends no anti-Stokes
-light), 5 oracle-compare failure.
+Exit codes: 0 success, 2 config parse error (also a config file that is not
+UTF-8), 3 domain error (also a ``ChannelError``, such as a squeezer past its
+truncation bound, an ``--out`` that cannot be opened, and a ``--grid-points`` or
+``--sweep`` count whose grid numpy cannot allocate), 4 runtime error (also an output
+closed before the command finished, such as stdout piped into ``head``, and a witness
+whose Stokes or anti-Stokes light vanished, such as a ``product_thermal`` ``baseline``
+at zero thermal occupation, whose magnon vacuum sends no anti-Stokes light),
+5 oracle-compare failure.
 """
 
 from __future__ import annotations
@@ -146,9 +148,18 @@ def load_config(path: Optional[str]) -> ProtocolConfig:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config_text(text)
+
+
+def _linspace(start: float, stop: float, count: int, flag: str) -> np.ndarray:
+    """``np.linspace(start, stop, count)``; a ``count`` numpy cannot allocate is a domain
+    error naming ``flag``."""
+    try:
+        return np.linspace(start, stop, count)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigDomainError(f"{flag}: {count} points do not fit in memory ({exc})") from exc
 
 
 def parse_sweep(text: str) -> tuple[str, np.ndarray]:
@@ -167,7 +178,7 @@ def parse_sweep(text: str) -> tuple[str, np.ndarray]:
             raise ConfigDomainError(f"--sweep {field} must be finite, got {name} = {value!r}")
     if count_i < 1:
         raise ConfigDomainError("sweep count must be >= 1")
-    return field, np.linspace(start_f, stop_f, count_i)
+    return field, _linspace(start_f, stop_f, count_i, "--sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +237,7 @@ def run_fidelity_sweep(config: ProtocolConfig, fmt: str, out: TextIO,
 
 
 def _phase_grid(count: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, count)
+    return _linspace(0.0, 2.0 * math.pi, count, "--grid-points")
 
 
 def _witness_columns(with_mc: bool) -> tuple[str, ...]:

@@ -188,19 +188,6 @@ class DensityOperator:
             raise RegistryMismatchError(f"matrix shape {mat.shape} does not match dimension {d}")
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def product(cls, registry: ModeRegistry, single_mode_matrices: Sequence[np.ndarray]) -> "DensityOperator":
-        """Tensor product of one single-mode matrix per registry mode, in order."""
-        if len(single_mode_matrices) != len(registry.modes):
-            raise RegistryMismatchError("need exactly one factor per mode")
-        mat = np.ones((1, 1), dtype=complex)
-        for (label, cutoff), factor in zip(registry.modes, single_mode_matrices):
-            factor = np.asarray(factor, dtype=complex)
-            if factor.shape != (cutoff + 1, cutoff + 1):
-                raise RegistryMismatchError(f"factor for mode {label!r} has shape {factor.shape}")
-            mat = np.kron(mat, factor)
-        return cls(registry, mat)
-
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -347,10 +334,6 @@ def single_mode_annihilation(cutoff: int) -> np.ndarray:
     return mat
 
 
-def number_operator(registry: ModeRegistry, label: str) -> ModeOperator:
-    return embed_single_mode(registry, label, np.diag(np.arange(registry.cutoff_of(label) + 1)))
-
-
 def sandwich(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """``op x op+`` as op (op x)+ for a Hermitian ``x`` or each matrix of a stack ``x[..., q, q]``.
 
@@ -401,12 +384,6 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     new_registry = registry.restricted(keep)
     d = new_registry.dimension
     return DensityOperator(new_registry, reduced.reshape(d, d))
-
-
-def expectation(rho: DensityOperator, op: ModeOperator) -> complex:
-    """tr(rho O); real within tolerance for Hermitian O."""
-    _require_same_registry(rho.registry, op.registry)
-    return complex(op.matrix.multiply(rho.matrix.T).sum())
 
 
 def fidelity_with_pure(rho: DensityOperator, psi: MultiModeState) -> float:

@@ -194,6 +194,9 @@ class ProtocolConfig:
         for name in ("optical_cutoff", "magnon_cutoff"):
             if getattr(self, name) < 1:
                 raise ProtocolError(f"{name} must be >= 1, got {getattr(self, name)!r}", fields=(name,))
+        if not math.isfinite(self.read_phase_rad * self.optical_cutoff):  # the top anti-Stokes level's phase
+            raise ProtocolError(f"read_phase_rad = {self.read_phase_rad!r} times optical_cutoff = "
+                                f"{self.optical_cutoff} overflows", fields=("read_phase_rad", "optical_cutoff"))
         stage_dimension = ((self.optical_cutoff + 1) * (self.magnon_cutoff + 1)) ** 2
         if stage_dimension > PIPELINE_MAX_DIMENSION:
             raise ProtocolError(
@@ -622,12 +625,13 @@ class JointStatistics:
         n_anti, n_stokes = (
             np.arange(probs.shape[axis]).reshape([-1 if a == axis else 1 for a in range(4)])
             for axis in (2 if i == 1 else 3, 0 if j == 1 else 1))
-        denom = float(np.sum(probs * n_anti)) * float(np.sum(probs * n_stokes))
-        if denom <= 0.0:
-            raise ZeroIntensityError(
-                "a detector intensity vanished; no light to correlate "
-                "(pulse_mean_photons = 0, stokes_probability = 0 or read angle 0)")
-        return float(np.sum(probs * (n_anti * n_stokes))) / denom
+        anti, stokes = float(np.sum(probs * n_anti)), float(np.sum(probs * n_stokes))
+        if anti * stokes <= 0.0:
+            vanished = [f"no {light} light reaches {light} detector {k}" for light, k, mean
+                        in (("Stokes", j, stokes), ("anti-Stokes", i, anti)) if mean <= 0.0]
+            raise ZeroIntensityError("a detector intensity vanished: " + "; ".join(vanished or [
+                f"the Stokes intensity {stokes!r} times the anti-Stokes intensity {anti!r} underflows"]))
+        return float(np.sum(probs * (n_anti * n_stokes))) / (anti * stokes)
 
     def click_pattern_probabilities(self) -> np.ndarray:
         """4x4 outcome table over (stokes, anti) categories none/d1/d2/both.

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from optomagnon.cli import (
@@ -664,6 +665,74 @@ def test_a_missing_config_file_is_a_parse_error(tmp_path, capsys):
     missing = str(tmp_path / "absent.cfg")
     assert _run(["witness-sweep", "--config", missing]) == EXIT_PARSE_ERROR
     assert capsys.readouterr().err.startswith(f"config parse error: cannot read config {missing!r}: ")
+
+
+def test_a_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfet\x00e\x00")  # a UTF-16 byte order mark
+    assert _run(["mc-run", "--trials", "10", "--config", str(cfg)]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config parse error: cannot read config {str(cfg)!r}: ")
+    assert err.count("\n") == 1
+
+
+POINT_COUNT_FLAGS = [
+    pytest.param(["witness-sweep", "--grid-points"], "", "--grid-points", id="grid-points"),
+    pytest.param(["fidelity-sweep", "--sweep"], "temperature_k:0:1:", "--sweep", id="sweep"),
+]
+
+
+@pytest.mark.parametrize("args, prefix, flag", POINT_COUNT_FLAGS)
+def test_a_point_count_past_numpy_s_largest_array_is_a_domain_error_naming_its_flag(
+        capsys, args, prefix, flag):
+    # numpy refuses 10**20 points before it allocates anything
+    assert _run(args + [f"{prefix}{10 ** 20}"]) == EXIT_DOMAIN_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: {flag}: {10 ** 20} points do not fit in memory (")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, prefix, flag", POINT_COUNT_FLAGS)
+def test_a_point_grid_that_runs_out_of_memory_is_a_domain_error_naming_its_flag(
+        monkeypatch, capsys, args, prefix, flag):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "linspace", out_of_memory)
+    assert _run(args + [f"{prefix}5"]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err == f"domain error: {flag}: 5 points do not fit in memory (Unable to allocate)\n"
+
+
+@pytest.mark.parametrize("command", ["mc-run", "oracle-compare"])
+def test_a_read_phase_whose_top_level_overflows_is_a_domain_error_naming_it(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "phase.cfg", "read_phase_rad = 1e308\n")
+    assert _run([command, "--trials", "10", "--config", cfg]) == EXIT_DOMAIN_ERROR
+    assert capsys.readouterr().err == ("domain error: field 'read_phase_rad': read_phase_rad = 1e+308 "
+                                       "times optical_cutoff = 3 overflows\n")
+    cfg = _write(tmp_path, "phase.cfg", "read_phase_rad = 1e300\n")
+    assert _run([command, "--trials", "10", "--config", cfg, "--out", str(tmp_path / "o.csv")]) in (
+        EXIT_OK, EXIT_ORACLE_FAILURE)
+
+
+@pytest.mark.parametrize("text, args, message", [
+    pytest.param("pulse_mean_photons = 0\n", [], "no Stokes light reaches Stokes detector 1", id="no-pulse"),
+    pytest.param("pulse_mean_photons = 0\n", ["--detector", "2"], "no Stokes light reaches Stokes detector 2",
+                 id="no-pulse-detector-2"),
+    pytest.param("read_swap_angle_rad = 0\n", [], "no anti-Stokes light reaches anti-Stokes detector 1",
+                 id="no-read-swap"),
+    pytest.param("magnon_decay_delay_ratio = 800\n", [], "no anti-Stokes light reaches anti-Stokes detector 1",
+                 id="magnons-decayed"),
+    pytest.param("read_swap_angle_rad = 1e-160\n", [], "the Stokes intensity 5.000046841703813e-05 times "
+                 "the anti-Stokes intensity 3.66e-322 underflows", id="product-underflows"),
+    # the transmissivities also set the anti-Stokes losses
+    pytest.param("propagation_transmissivity_a = 0\npropagation_transmissivity_b = 0\n", [],
+                 "no Stokes light reaches Stokes detector 1; no anti-Stokes light reaches anti-Stokes detector 1",
+                 id="no-transmission"),
+])
+def test_a_vanished_intensity_names_the_light_and_its_detector(tmp_path, capsys, text, args, message):
+    cfg = _write(tmp_path, "dark.cfg", text)
+    assert _run(["witness-sweep", "--config", cfg, "--grid-points", "3"] + args) == EXIT_RUNTIME_ERROR
+    assert capsys.readouterr().err == f"runtime error: a detector intensity vanished: {message}\n"
 
 
 def test_non_finite_sweep_value_is_a_domain_error(tmp_path, capsys):

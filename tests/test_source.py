@@ -7,9 +7,12 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import optomagnon
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for path in (ROOT / "src" / "optomagnon").glob("*.py")
@@ -77,13 +80,25 @@ def test_no_dead_private_names():
     assert _dead_private_names(sources) == []
 
 
-def test_readme_quick_start_runs():
+def _quick_start() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+
+
+def test_readme_quick_start_runs():
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        exec(compile(block, "README.md", "exec"), {})
+        exec(compile(_quick_start(), "README.md", "exec"), {})
     assert float(printed.getvalue().splitlines()[-1]) < 1.0  # the quick start's "< 1: entangled"
+
+
+def test_the_package_namespace_is_the_quick_start():
+    # every other name is imported from its module, so it has one import path
+    imported = {alias.name for node in ast.walk(ast.parse(_quick_start()))
+                if isinstance(node, ast.ImportFrom) and node.module == "optomagnon" for alias in node.names}
+    public = {name for name, value in vars(optomagnon).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == imported
 
 
 @pytest.mark.parametrize("module, cls", [("protocol.py", "ProtocolConfig"), ("channels.py", "DetectorSpec")])
