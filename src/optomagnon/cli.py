@@ -11,25 +11,23 @@ Commands
 it reads; a command given any other of those flags rejects it.  Every
 command is deterministic given (config file, seed): reruns produce
 identical bytes.  ``--workers`` is accepted and changes nothing.  Each
-command lifts each stage block once, onto the support it meets, and runs the
-optics before the thermal step once: the points of a ``fidelity-sweep``
-(``entangle_sweep``) run only the thermal step and the herald, except under
-``squeezed_thermal``, where the occupation seeds the squeezers and each point
-carries its own state through the same lifted operators (one lift per start
-state).  Commands share none of it.
+command lifts each stage block once and runs the optics before the thermal step
+once (``protocol.entangle_sweep`` says how a ``fidelity-sweep`` reuses them);
+commands share none of it.
 Config keys and their types are read off ``ProtocolConfig`` (``detector.*`` for its
 detector), and a key given twice is a parse error.  A failed config check's message names
 the first of the fields its error carries that the file set (else the first of them).
 ``--out`` is replaced only when the command finishes, so a failing command leaves an
 existing file as it was.
-Exit codes: 0 success, 2 config parse error (also a config file that is not
-UTF-8), 3 domain error (also a ``ChannelError``, such as a squeezer past its
-truncation bound, an ``--out`` that cannot be opened, and a ``--grid-points`` or
-``--sweep`` count whose grid numpy cannot allocate), 4 runtime error (also an output
-closed before the command finished, such as stdout piped into ``head``, and a witness
-whose Stokes or anti-Stokes light vanished, such as a ``product_thermal`` ``baseline``
-at zero thermal occupation, whose magnon vacuum sends no anti-Stokes light),
-5 oracle-compare failure.
+Exit codes: 0 success, 2 config parse error (also a config file that is not UTF-8),
+3 domain error (also a ``ChannelError``, such as a squeezer past its truncation bound, an
+``--out`` that cannot be opened, and a ``--grid-points`` or ``--sweep`` count whose grid
+numpy cannot allocate), 4 runtime error (also an output closed before the command
+finished, such as stdout piped into ``head``, a herald probability below
+``protocol.HERALD_FLOOR``, a witness whose Stokes light lies only in sectors below
+``protocol.STOKES_SECTOR_FLOOR``, and a witness whose Stokes or anti-Stokes light
+vanished, such as a ``product_thermal`` ``baseline`` at zero thermal occupation, whose
+magnon vacuum sends no anti-Stokes light), 5 oracle-compare failure.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import math
 import os
 import stat
@@ -64,8 +61,6 @@ from .protocol import (
     ideal_target_state,
     separable_baseline,
 )
-
-logger = logging.getLogger("optomagnon")
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -127,8 +122,6 @@ def parse_config_text(text: str) -> ProtocolConfig:
             kwargs["detector"] = DetectorSpec(**detector_kwargs)
         except ChannelError as exc:
             raise _field_error(exc, detector_kwargs, prefix="detector.") from exc
-    if kwargs.get("nbar_override") is not None:
-        logger.info("nbar_override set; temperature_k is ignored for the thermal occupation")
     try:
         return ProtocolConfig(**kwargs)
     except ProtocolError as exc:
@@ -407,15 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--baseline", help="separable baseline kind for the baseline command")
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; sampling is serial")
-    parser.add_argument("--verbose", action="store_true")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    level = logger.level  # restored on return, for a caller that set its own
-    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         runner, reads = COMMANDS[args.command]
         flags = {name: getattr(args, name) for _, names in COMMANDS.values() for name in names
@@ -453,8 +442,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.close(devnull)
         print(f"runtime error: output closed before the command finished ({exc})", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
-    finally:
-        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -95,6 +95,9 @@ PIPELINE_MAX_DIMENSION = 8192
 # Herald probabilities below this are treated as no herald (HeraldError).
 HERALD_FLOOR = 1e-12
 
+# The exact engine reads only the Stokes sectors whose weight (magnon-block trace) exceeds this.
+STOKES_SECTOR_FLOOR = 1e-18
+
 # |g2_A1 - g2_A2| below this makes the exact witness ratio divergent (+inf, flagged).
 WITNESS_DIVERGENCE_EPSILON = 1e-8
 
@@ -108,7 +111,7 @@ class HeraldError(ProtocolError):
 
 
 class ZeroIntensityError(ProtocolError):
-    """A witness intensity vanished (no Stokes light or no anti-Stokes light)."""
+    """A witness intensity or click rate vanished: no Stokes or no anti-Stokes light to correlate."""
 
 
 class ProtocolRegimeWarning(UserWarning):
@@ -561,25 +564,24 @@ def entangle_sweep(config: ProtocolConfig, field: str,
 def _herald(config: ProtocolConfig, front: EntangleFrontState) -> HeraldedState:
     """The single-click herald of ``entangle_stage`` on the front state of ``config``."""
     no_click = config.detector.no_click_weights(config.optical_cutoff)
-    herald_axis = config.herald_detector_index - 1
+    herald = config.herald_detector_index
 
-    p_click = _port_probability(front.blocks, herald_axis, 1.0 - no_click)
+    p_click = _port_probability(front.blocks, herald - 1, 1.0 - no_click)
     if p_click < HERALD_FLOOR:
-        raise HeraldError(
-            f"herald probability {p_click:.3e} below floor {HERALD_FLOOR:.1e}; "
-            f"no pulse or no scattering to condition on")
-    rho_click = _port_conditioned(front.blocks, herald_axis, 1.0 - no_click)
+        raise HeraldError(f"herald detector {herald} clicks with probability {p_click:.3e}, "
+                          f"below HERALD_FLOOR = {HERALD_FLOOR:.1e}")
+    rho_click = _port_conditioned(front.blocks, herald - 1, 1.0 - no_click)
     # the silent port is the one Stokes axis left
     herald_probability = p_click * (1.0 - _port_probability(rho_click, 0, 1.0 - no_click))
     if herald_probability < HERALD_FLOOR:
-        raise HeraldError(
-            f"herald probability {herald_probability:.3e} below floor {HERALD_FLOOR:.1e}")
+        raise HeraldError(f"herald detector {herald} clicks with detector {3 - herald} silent with "
+                          f"probability {herald_probability:.3e}, below HERALD_FLOOR = {HERALD_FLOOR:.1e}")
     rho_magnons = _port_conditioned(rho_click, 0, no_click)
 
     return HeraldedState(
         rho_magnons=DensityOperator(config.magnon_registry(), rho_magnons),
         herald_probability=herald_probability,
-        herald_sign=HERALD_SIGN_OF_DETECTOR[config.herald_detector_index],
+        herald_sign=HERALD_SIGN_OF_DETECTOR[herald],
         truncation_error=front.truncation_estimate,
     )
 
@@ -613,11 +615,27 @@ class JointStatistics:
     ``number_probabilities[s1, s2, a1, a2]`` is the probability of finding
     those occupations in the Stokes detector-1/2 and anti-Stokes
     detector-1/2 ports of one unconditioned run at a fixed read phase.
+    ``stokes_below_floor[j - 1]`` is the weight of Stokes detector j's light if all of it is below
+    ``STOKES_SECTOR_FLOOR``, so that the exact engine reads none of it (else 0).
     """
 
     delta_phi: float
     number_probabilities: np.ndarray
     detector: DetectorSpec
+    stokes_below_floor: tuple[float, float] = (0.0, 0.0)
+
+    def _cross_ratio(self, joint: float, anti: float, stokes: float, i: int, j: int,
+                     kind: str, reach: str) -> float:
+        """``joint / (anti * stokes)``; a ZeroIntensityError names each vanished factor or their underflow."""
+        if anti * stokes > 0.0:
+            return joint / (anti * stokes)
+        vanished = [f"no {light} {reach} {light} detector {k}" for light, k, mean
+                    in (("Stokes", j, stokes), ("anti-Stokes", i, anti)) if mean <= 0.0]
+        if stokes <= 0.0 < self.stokes_below_floor[j - 1]:
+            vanished[0] = (f"the Stokes light at Stokes detector {j} is below STOKES_SECTOR_FLOOR = "
+                           f"{STOKES_SECTOR_FLOOR:.1e} (weight {self.stokes_below_floor[j - 1]:.3e})")
+        raise ZeroIntensityError(f"a detector {kind} vanished: " + "; ".join(vanished or [
+            f"the Stokes {kind} {stokes!r} times the anti-Stokes {kind} {anti!r} underflows"]))
 
     def g2_number(self, i: int, j: int) -> float:
         """Second-order cross-coherence from exact pre-detection moments."""
@@ -625,13 +643,8 @@ class JointStatistics:
         n_anti, n_stokes = (
             np.arange(probs.shape[axis]).reshape([-1 if a == axis else 1 for a in range(4)])
             for axis in (2 if i == 1 else 3, 0 if j == 1 else 1))
-        anti, stokes = float(np.sum(probs * n_anti)), float(np.sum(probs * n_stokes))
-        if anti * stokes <= 0.0:
-            vanished = [f"no {light} light reaches {light} detector {k}" for light, k, mean
-                        in (("Stokes", j, stokes), ("anti-Stokes", i, anti)) if mean <= 0.0]
-            raise ZeroIntensityError("a detector intensity vanished: " + "; ".join(vanished or [
-                f"the Stokes intensity {stokes!r} times the anti-Stokes intensity {anti!r} underflows"]))
-        return float(np.sum(probs * (n_anti * n_stokes))) / (anti * stokes)
+        return self._cross_ratio(float(np.sum(probs * (n_anti * n_stokes))), float(np.sum(probs * n_anti)),
+                                 float(np.sum(probs * n_stokes)), i, j, "intensity", "light reaches")
 
     def click_pattern_probabilities(self) -> np.ndarray:
         """4x4 outcome table over (stokes, anti) categories none/d1/d2/both.
@@ -652,12 +665,8 @@ class JointStatistics:
     def g2_click(self, i: int, j: int) -> float:
         """Click-based cross-correlation; exact limit of the counting estimator."""
         table = self.click_pattern_probabilities()
-        p_joint = float(table[j, i])
-        p_s = float(table[j, :].sum())
-        p_a = float(table[:, i].sum())
-        if p_s <= 0.0 or p_a <= 0.0:
-            raise ZeroIntensityError("a detector click rate vanished; nothing to correlate")
-        return p_joint / (p_s * p_a)
+        return self._cross_ratio(float(table[j, i]), float(table[:, i].sum()), float(table[j, :].sum()),
+                                 i, j, "click rate", "clicks at")
 
     def witness_point(self, stokes_detector: int) -> WitnessPoint:
         """Exact witness at this read phase from the pre-detection moments."""
@@ -750,16 +759,17 @@ class _ReadOptics:
 
 
 def _stokes_sector_blocks(front: EntangleFrontState) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Occupied Stokes sectors (s1, s2) and an owning stack of their magnon blocks."""
+    """Stokes sectors (s1, s2) of weight above STOKES_SECTOR_FLOOR and an owning stack of their blocks."""
     sectors = [s for s in np.ndindex(front.blocks.shape[:2])
-               if float(np.trace(front.blocks[s]).real) > 1e-18]
+               if float(np.trace(front.blocks[s]).real) > STOKES_SECTOR_FLOOR]
     return sectors, np.stack([front.blocks[s] for s in sectors])
 
 
 def _phase_statistics(config: ProtocolConfig, phase_grid: Sequence[float],
-                      sectors: list[tuple[int, int]], blocks: np.ndarray) -> list[JointStatistics]:
+                      sectors: list[tuple[int, int]], blocks: np.ndarray,
+                      stokes_below_floor: tuple[float, float] = (0.0, 0.0)) -> list[JointStatistics]:
     """Detector statistics per read phase of the magnon blocks ``blocks[k]`` of Stokes
-    sectors ``sectors[k]``."""
+    sectors ``sectors[k]``, with the ``stokes_below_floor`` of `JointStatistics`."""
     optics = _ReadOptics(config, blocks)
     co, cm = config.optical_cutoff, config.magnon_cutoff
     out = []
@@ -771,7 +781,7 @@ def _phase_statistics(config: ProtocolConfig, phase_grid: Sequence[float],
         for (s1, s2), diag in zip(sectors, diags):
             # a contiguous (cm+1, cm+1, co+1, co+1) array fixes the summation order
             probs[s1, s2] += diag.reshape(cm + 1, cm + 1, co + 1, co + 1).sum(axis=(0, 1))
-        out.append(JointStatistics(float(delta_phi), probs, config.detector))
+        out.append(JointStatistics(float(delta_phi), probs, config.detector, stokes_below_floor))
     return out
 
 
@@ -779,9 +789,11 @@ def exact_phase_statistics(config: ProtocolConfig,
                            phase_grid: Sequence[float]) -> list[JointStatistics]:
     """Exact detector statistics at every read phase of a grid, from one front build;
     the one path from the front state through the read optics to statistics."""
-    # the front is dropped once its sector blocks are taken, before the phase loop
-    return _phase_statistics(config, phase_grid,
-                             *_stokes_sector_blocks(entangle_front_state(config)))
+    sectors, blocks = _stokes_sector_blocks(front := entangle_front_state(config))
+    below_floor = [0.0 if any(s[p] for s in sectors) else sum(float(np.trace(front.blocks[s]).real)
+                   for s in np.ndindex(front.blocks.shape[:2]) if s[p]) for p in (0, 1)]
+    del front  # dropped once its sector blocks are taken, before the phase loop
+    return _phase_statistics(config, phase_grid, sectors, blocks, tuple(below_floor))
 
 
 def exact_joint_statistics(config: ProtocolConfig) -> JointStatistics:

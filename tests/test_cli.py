@@ -1,6 +1,5 @@
 import hashlib
 import json
-import logging
 import os
 import re
 import subprocess
@@ -132,29 +131,6 @@ def test_readme_config_block_names_only_config_fields():
     assert "nbar_override" in keys  # the commented-out lines are checked too
     assert len(keys) == len(set(keys))
     assert set(keys) == set(_FIELD_TYPES)
-
-
-def test_nbar_override_logs_notice(caplog):
-    with caplog.at_level(logging.INFO, logger="optomagnon"):
-        cfg = parse_config_text("nbar_override = 0.01\ntemperature_k = 0.1\n")
-    assert cfg.mean_thermal_magnons == 0.01
-    assert any("nbar_override" in message for message in caplog.messages)
-
-
-def test_verbose_logs_after_an_earlier_quiet_command(tmp_path, caplog, monkeypatch):
-    cfg = _write(tmp_path, "nbar.cfg", "nbar_override = 0.01\n")
-    argv = ["fidelity-sweep", "--config", cfg, "--sweep", "nbar_override:0.01:0.01:1",
-            "--out", str(tmp_path / "o.csv")]
-    package_logger = logging.getLogger("optomagnon")
-    monkeypatch.setattr(package_logger, "level", logging.DEBUG)  # the caller's own setting
-    logged = []
-    for extra in ([], ["--verbose"]):
-        caplog.clear()
-        assert _run(argv + extra) == EXIT_OK
-        logged.append([r.message for r in caplog.records if r.name == "optomagnon"])
-        assert package_logger.level == logging.DEBUG
-    assert logged[0] == []
-    assert any("nbar_override" in message for message in logged[1])
 
 
 def test_config_with_a_utf8_byte_order_mark_reads_as_without(tmp_path):
@@ -334,9 +310,10 @@ def test_a_squeezer_the_config_makes_impossible_is_a_domain_error(tmp_path, caps
 
 
 @pytest.mark.parametrize("detector_line, message", [
-    ("detector.efficiency = 0.0", "herald probability 0.000e+00 below floor 1.0e-12; "
-                                  "no pulse or no scattering to condition on"),
-    ("detector.dark_click_probability = 1.0", "herald probability 0.000e+00 below floor 1.0e-12"),
+    ("detector.efficiency = 0.0", "herald detector 1 clicks with probability 0.000e+00, "
+                                  "below HERALD_FLOOR = 1.0e-12"),
+    ("detector.dark_click_probability = 1.0", "herald detector 1 clicks with detector 2 silent with "
+                                              "probability 0.000e+00, below HERALD_FLOOR = 1.0e-12"),
 ])
 def test_each_herald_floor_is_a_runtime_error(tmp_path, capsys, detector_line, message):
     cfg = _write(tmp_path, "det.cfg", detector_line + "\n")
@@ -358,12 +335,16 @@ def test_product_thermal_baseline_at_zero_occupation_says_no_light_reaches_the_d
                  "--out", str(tmp_path / "o.csv")]) == EXIT_OK
 
 
+def _env_with_src() -> dict:
+    """The environment of a child Python that imports the package from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_a_stdout_closed_early_is_a_runtime_error_without_a_traceback():
     # 200000 records are megabytes, far past a pipe's buffer: the writer meets the closed end
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "optomagnon.cli", "mc-run", "--trials", "200000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src())
     assert proc.stdout.readline() == b"trial_index,stokes_click,antistokes_click\n"
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -372,6 +353,27 @@ def test_a_stdout_closed_early_is_a_runtime_error_without_a_traceback():
     assert "Traceback" not in err
     assert err.startswith("runtime error: output closed before the command finished")
     assert err.count("\n") == 1
+
+
+def test_main_leaves_the_root_logger_as_it_found_it(tmp_path):
+    # in a fresh process, since pytest puts its own handlers on the root logger
+    probe = ("import logging, sys\n"
+             "from optomagnon.cli import main\n"
+             "root = logging.getLogger()\n"
+             "before = (list(root.handlers), root.level)\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, len(before[0]), len(root.handlers), (list(root.handlers), root.level) == before)\n")
+    argv = ["fidelity-sweep", "--sweep", "nbar_override:0.01:0.01:1", "--out", str(tmp_path / "o.csv")]
+    printed = subprocess.run([sys.executable, "-c", probe, *argv], env=_env_with_src(),
+                             capture_output=True, text=True, check=True).stdout
+    assert printed == f"{EXIT_OK} 0 0 True\n"
+
+
+def test_verbose_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["fidelity-sweep", "--sweep", "temperature_k:0.1:0.1:1", "--verbose"])
+    assert caught.value.code == 2  # argparse's usage error
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --verbose\n")
 
 
 @pytest.mark.parametrize("error, code, message", [
@@ -733,6 +735,24 @@ def test_a_vanished_intensity_names_the_light_and_its_detector(tmp_path, capsys,
     cfg = _write(tmp_path, "dark.cfg", text)
     assert _run(["witness-sweep", "--config", cfg, "--grid-points", "3"] + args) == EXIT_RUNTIME_ERROR
     assert capsys.readouterr().err == f"runtime error: a detector intensity vanished: {message}\n"
+
+
+@pytest.mark.parametrize("text, weight, rest", [
+    pytest.param("stokes_probability = 1e-160\ntemperature_k = 0\n", "5.000e-163",
+                 "; no anti-Stokes light reaches anti-Stokes detector 1", id="faint-scattering-cold"),
+    pytest.param("pulse_mean_photons = 1e-320\n", "4.941e-323", "", id="faint-pulse"),
+])
+def test_a_stokes_light_below_the_sector_floor_is_named_as_such(tmp_path, capsys, text, weight, rest):
+    # the light is there, but every Stokes sector holding it weighs less than STOKES_SECTOR_FLOOR;
+    # the sampler reads the same statistics and draws no Stokes click
+    cfg = _write(tmp_path, "faint.cfg", text)
+    assert _run(["witness-sweep", "--config", cfg, "--grid-points", "3"]) == EXIT_RUNTIME_ERROR
+    assert capsys.readouterr().err == (
+        "runtime error: a detector intensity vanished: the Stokes light at Stokes detector 1 is below "
+        f"STOKES_SECTOR_FLOOR = 1.0e-18 (weight {weight}){rest}\n")
+    out = tmp_path / "records.csv"
+    assert _run(["mc-run", "--config", cfg, "--trials", "1000", "--out", str(out)]) == EXIT_OK
+    assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"none"}
 
 
 def test_non_finite_sweep_value_is_a_domain_error(tmp_path, capsys):

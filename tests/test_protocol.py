@@ -286,9 +286,10 @@ def test_entangle_zero_pulse_raises():
 
 # the first floor is on the herald click, the second on the silent port's no-click
 HERALD_FLOOR_FAILURES = [
-    (DetectorSpec(efficiency=0.0), "herald probability 0.000e+00 below floor 1.0e-12; "
-                                   "no pulse or no scattering to condition on"),
-    (DetectorSpec(dark_click_probability=1.0), "herald probability 0.000e+00 below floor 1.0e-12"),
+    (DetectorSpec(efficiency=0.0), "herald detector 1 clicks with probability 0.000e+00, "
+                                   "below HERALD_FLOOR = 1.0e-12"),
+    (DetectorSpec(dark_click_probability=1.0), "herald detector 1 clicks with detector 2 silent with "
+                                               "probability 0.000e+00, below HERALD_FLOOR = 1.0e-12"),
 ]
 
 
@@ -1071,3 +1072,20 @@ _VACUUM_ONLY[0, 0, 0, 0] = 1.0
 def test_each_protocol_check_raises(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("stokes_below_floor, stokes_entry", [
+    ((0.0, 0.0), "no Stokes {} Stokes detector 1"),
+    ((2e-20, 0.0), "the Stokes light at Stokes detector 1 is below STOKES_SECTOR_FLOOR = 1.0e-18 "
+                   "(weight 2.000e-20)"),
+])
+@pytest.mark.parametrize("g2, kind, reach", [
+    ("g2_number", "intensity", "light reaches"),
+    ("g2_click", "click rate", "clicks at"),
+])
+def test_both_cross_coherences_name_each_vanished_factor(stokes_below_floor, stokes_entry, g2, kind, reach):
+    stats = JointStatistics(0.0, _VACUUM_ONLY, DetectorSpec(), stokes_below_floor)
+    with pytest.raises(ZeroIntensityError) as caught:
+        getattr(stats, g2)(1, 1)
+    assert str(caught.value) == (f"a detector {kind} vanished: {stokes_entry.format(reach)}; "
+                                 f"no anti-Stokes {reach} anti-Stokes detector 1")

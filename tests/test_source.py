@@ -5,6 +5,7 @@ import contextlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import optomagnon
+from optomagnon.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for path in (ROOT / "src" / "optomagnon").glob("*.py")
@@ -99,6 +101,26 @@ def test_the_package_namespace_is_the_quick_start():
     public = {name for name, value in vars(optomagnon).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == imported
+
+
+def _readme_examples() -> list:
+    """The README's "Examples:" command lines as ``cli.main`` arguments, each with its documented
+    exit code: 0 unless the line ends ``# exits N``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Examples:\n\n```bash\n(.*?)```", readme, re.DOTALL).group(1)
+    examples = []
+    for line in block.splitlines():
+        command, _, note = line.partition("#")
+        marked = re.match(r"\s*exits (\d+)", note)
+        argv = shlex.split(command)[1:]
+        examples.append(pytest.param(argv, int(marked.group(1)) if marked else 0, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv, code", _readme_examples())
+def test_each_readme_example_exits_as_documented(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)  # where the examples' --out files go
+    assert main(argv) == code
 
 
 @pytest.mark.parametrize("module, cls", [("protocol.py", "ProtocolConfig"), ("channels.py", "DetectorSpec")])
