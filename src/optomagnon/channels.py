@@ -5,7 +5,9 @@ two-mode subspace they act on (skew-Hermitian generator, so the result is
 exactly unitary on the truncated space).  Each ``*_block`` function returns
 that small block, and the matching ``*_unitary`` lifts it into the full
 registry as a sparse operator; `loss_kraus_operators` likewise lifts the
-blocks of `loss_kraus_blocks`.  The top Fock level of each mode serves as a
+blocks of `loss_kraus_blocks`, while `loss_kraus_gather` applies them, with
+the same bits, as index gathers on the diagonal blocks of a set of photon-
+number shells.  The top Fock level of each mode serves as a
 guard band: population that would flow past the cutoff is reported as a
 truncation estimate, and callers keep working amplitudes below it.
 
@@ -214,6 +216,45 @@ def loss_kraus_blocks(registry: ModeRegistry, mode: str, transmissivity: float) 
         for n in range(k, d):
             kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * (eta ** (n - k)) * ((1 - eta) ** k))
     return kraus
+
+
+def loss_kraus_gather(blocks: list, registry: ModeRegistry, mode: str, transmissivity: float,
+                      shells: list) -> list:
+    """`loss_kraus_sum` of the pure loss on ``mode``, kept to the diagonal blocks ``blocks[n]``
+    (a matrix or a stack each) on the basis indices ``shells[n]`` of ``registry``: each Kraus
+    operator must map every shell into one shell (a ChannelError otherwise).
+
+    Each lifted Kraus row has one stored entry, weight ``u`` at source column ``s``, so each
+    element [j, i] of ``K x K+`` is one product, ``u_j conj(u_i x[s_i, s_j])``, multiplied in
+    `fock.sandwich`'s order and added in ascending k onto +0.0.  The terms left out, a source
+    past the cutoff or a zero weight, would each add +0.0, so every kept element equals
+    `loss_kraus_sum`'s bit for bit.  The lossless map returns ``blocks`` untouched."""
+    kraus = loss_kraus_blocks(registry, mode, transmissivity)
+    if not len(kraus):
+        return blocks
+    (digit,) = _digits(registry, [mode])
+    stride = registry.strides[registry.axis_of(mode)]
+    shell_of = np.full(registry.dimension, -1)
+    position = np.zeros(registry.dimension, dtype=int)
+    for n, idx in enumerate(shells):
+        shell_of[idx], position[idx] = n, np.arange(idx.size)
+    out = [np.zeros_like(block) for block in blocks]
+    for k, op in enumerate(kraus):
+        for idx, target in zip(shells, out):
+            rows = np.flatnonzero(digit[idx] + k < len(kraus))
+            m = digit[idx[rows]]
+            u = op[m, m + k].real
+            rows, u = rows[u != 0.0], u[u != 0.0]
+            if not rows.size:
+                continue
+            sources = idx[rows] + k * stride
+            source = shell_of[sources[0]]
+            if source < 0 or (shell_of[sources] != source).any():
+                raise ChannelError(f"the loss on {mode!r} maps a shell outside any one shell")
+            s = position[sources]
+            x = blocks[source][..., s[:, None], s]
+            target[..., rows[:, None], rows] += (u * np.conj(u[:, None] * x)).swapaxes(-1, -2)
+    return out
 
 
 def loss_kraus_operators(registry: ModeRegistry, mode: str, transmissivity: float) -> list:

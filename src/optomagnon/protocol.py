@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,8 +57,7 @@ from .channels import (
     beamsplitter_block,
     geometric_weights,
     loss_kraus_blocks,
-    loss_kraus_operators,
-    loss_kraus_sum,
+    loss_kraus_gather,
     phase_shift_block,
     squeezer_vacuum_tail,
     swap_coupler_block,
@@ -650,8 +650,13 @@ class JointStatistics:
         """4x4 outcome table over (stokes, anti) categories none/d1/d2/both.
 
         Applies the configured non-resolving detector POVM independently to
-        each port; exact counterpart of one sampled trial.
+        each port; exact counterpart of one sampled trial.  Built on the first
+        call; every caller then reads that one table, which is read-only.
         """
+        return self._click_table
+
+    @cached_property
+    def _click_table(self) -> np.ndarray:
         probs = self.number_probabilities
         tables = []
         for axis in range(4):
@@ -660,7 +665,9 @@ class JointStatistics:
             tables.append(np.stack([no_click, 1.0 - no_click]))  # [outcome, n]
         t = np.einsum("abcd,xa,yb,zc,wd->xyzw", probs, *tables)
         # category = 2 * click2 + click1: none, d1, d2, both
-        return t.transpose(1, 0, 3, 2).reshape(4, 4)
+        table = t.transpose(1, 0, 3, 2).reshape(4, 4)
+        table.flags.writeable = False
+        return table
 
     def g2_click(self, i: int, j: int) -> float:
         """Click-based cross-correlation; exact limit of the counting estimator."""
@@ -698,15 +705,16 @@ class _ReadOptics:
 
     On (magnon A, magnon B, anti-Stokes A, anti-Stokes B) each read stage
     computes only the blocks its successor reads.  The swaps make the
-    magnon-diagonal blocks one magnon-B level at a time, both anti-Stokes
-    losses run as whole Kraus sums on each level (their operators lifted once,
-    before the first), and only then are its anti-Stokes-photon-number-shell-
-    diagonal blocks gathered: the closing beamsplitter conserves the photon
-    number and the detectors read only its output diagonals.  Stage operators
-    are lifted on the modes the stage touches (the swaps onto their
-    anti-Stokes-vacuum columns only, the closing beamsplitter onto each shell),
-    with the entries and per-row order of the full-space lift there, so kept
-    elements match the full-space sandwich bit for bit.
+    magnon-diagonal blocks one magnon-B level at a time, and of each level only
+    the anti-Stokes-photon-number-shell-diagonal blocks are kept: the closing
+    beamsplitter conserves the photon number and the detectors read only its
+    output diagonals.  Both anti-Stokes losses then run on those blocks alone,
+    since loss Kraus k takes shell n + k to shell n on ket and bra alike.  The
+    swaps and the closing beamsplitter are lifted on the modes they touch (the
+    swaps onto their anti-Stokes-vacuum columns only, the closing beamsplitter
+    onto each shell), with the entries and per-row order of the full-space
+    lift there; every loss, the magnon decay too, is `loss_kraus_gather`'s index
+    gather.  So kept elements match the full-space sandwiches bit for bit.
     """
 
     def __init__(self, config: ProtocolConfig, rho: np.ndarray):
@@ -721,8 +729,9 @@ class _ReadOptics:
         # the phase-independent decay, swaps and losses of the stack ``rho``,
         # as blocks [sector, n_magnon_a, n_magnon_b, anti-Stokes shell^2]
         survival = math.exp(-config.magnon_decay_delay_ratio)  # 1, lossless, without decay
+        whole = [np.arange(rho.shape[-1])]
         for label in (MAGNON_A, MAGNON_B):  # before the anti-Stokes vacuum is adjoined
-            rho = loss_kraus_sum(rho, loss_kraus_operators(config.magnon_registry(), label, survival))
+            (rho,) = loss_kraus_gather([rho], config.magnon_registry(), label, survival, whole)
         # swap A on (magnon A, magnon B, anti-Stokes A): lifted on the anti-Stokes-vacuum
         # columns; out, one magnon-A level of rows at a time
         arm_a = ModeRegistry.of((MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co))
@@ -733,8 +742,8 @@ class _ReadOptics:
         rho = np.stack([sandwich(swap_a[a * rows:(a + 1) * rows], rho)
                         for a in range(cm + 1)], axis=1)
         # swap B on each magnon-A diagonal block: lifted on the anti-Stokes-B-vacuum
-        # columns; out, one magnon-B level of rows at a time, each level taken
-        # through both anti-Stokes losses to its shell blocks before the next is made
+        # columns; out, one magnon-B level of rows at a time, of which only the shell
+        # blocks are kept
         arm_b = ModeRegistry.of((MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
         swap_b = _embed_block(arm_b, (ANTISTOKES_B, MAGNON_B),
                               swap_coupler_block(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b),
@@ -742,14 +751,14 @@ class _ReadOptics:
         self.fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex)
                       for idx in self.shells]
         d = self.antistokes.dimension
-        losses = [loss_kraus_operators(self.antistokes, ANTISTOKES_A, config.propagation_transmissivity_a),
-                  loss_kraus_operators(self.antistokes, ANTISTOKES_B, config.propagation_transmissivity_b)]
         for b in range(cm + 1):
             level = sandwich(swap_b[b * d:(b + 1) * d], rho)
-            for kraus in losses:
-                level = loss_kraus_sum(level, kraus)
             for idx, fixed in zip(self.shells, self.fixed):
                 fixed[:, :, b] = level[..., idx[:, None], idx]
+        # both anti-Stokes losses take shell n + k to shell n on ket and bra alike
+        for label, eta in ((ANTISTOKES_A, config.propagation_transmissivity_a),
+                           (ANTISTOKES_B, config.propagation_transmissivity_b)):
+            self.fixed = loss_kraus_gather(self.fixed, self.antistokes, label, eta, self.shells)
 
     def phase_and_mix(self, delta_phi: float) -> list[np.ndarray]:
         """Arm-A read phase and closing beamsplitter on every fixed shell block."""

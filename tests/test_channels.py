@@ -18,6 +18,7 @@ from optomagnon.channels import (
     click_measurement,
     click_povm_diagonals,
     loss_channel,
+    loss_kraus_gather,
     loss_kraus_operators,
     loss_kraus_sum,
     phase_shift_unitary,
@@ -273,6 +274,8 @@ def test_every_loss_entry_rejects_a_transmissivity_outside_the_unit_interval(eta
         loss_kraus_sum(rho.matrix, loss_kraus_operators(reg, "a", eta))
     with pytest.raises(ChannelError, match=message):
         loss_channel(rho, "a", eta)
+    with pytest.raises(ChannelError, match=message):
+        loss_kraus_gather([rho.matrix], reg, "a", eta, [np.arange(reg.dimension)])
 
 
 def test_lossless_kraus_sum_returns_its_input():
@@ -280,6 +283,37 @@ def test_lossless_kraus_sum_returns_its_input():
     matrix = _random_density(reg, 6).matrix
     assert loss_kraus_operators(reg, "a", 1.0) == []
     assert loss_kraus_sum(matrix, loss_kraus_operators(reg, "a", 1.0)) is matrix
+    blocks = [matrix]
+    assert loss_kraus_gather(blocks, reg, "a", 1.0, [np.arange(reg.dimension)]) is blocks
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-200, 0.3, 0.77])  # 1e-200: weights that underflow to 0
+@pytest.mark.parametrize("mode", ["a", "b"])
+def test_loss_gathers_keep_the_bits_of_the_kraus_sum(mode, eta):
+    reg = ModeRegistry.of(("a", 2), ("b", 3))
+    stack = np.stack([_random_density(reg, seed).matrix for seed in (7, 8)])
+    full = loss_kraus_sum(stack, loss_kraus_operators(reg, mode, eta))
+    whole = [np.arange(reg.dimension)]
+    assert loss_kraus_gather([stack], reg, mode, eta, whole)[0].tobytes() == full.tobytes()
+    # total-number shells: the blocks the sum keeps on its shell diagonal
+    a, b = _digits(reg, ["a", "b"])
+    shells = [np.flatnonzero(a + b == n) for n in range(6)]
+    got = loss_kraus_gather([stack[..., idx[:, None], idx] for idx in shells], reg, mode, eta, shells)
+    assert [block.tobytes() for block in got] == [full[..., idx[:, None], idx].tobytes() for idx in shells]
+
+
+def test_a_loss_gather_needs_shells_the_loss_keeps_whole():
+    reg = ModeRegistry.of(("a", 2), ("b", 1))
+    matrix = _random_density(reg, 9).matrix
+    (b,) = _digits(reg, ["b"])
+    for mode in ("a", "b"):  # each keeps the b-number shells whole
+        shells = [np.flatnonzero(b == 0), np.flatnonzero(b == 1)]
+        assert len(loss_kraus_gather([matrix[np.ix_(i, i)] for i in shells], reg, mode, 0.5, shells)) == 2
+    shells = [np.array([0, 2]), np.array([1, 3, 4, 5])]  # losing an a-quantum takes 4 to 2
+    with pytest.raises(ChannelError, match="maps a shell outside any one shell"):
+        loss_kraus_gather([matrix[np.ix_(i, i)] for i in shells], reg, "a", 0.5, shells)
+    with pytest.raises(ChannelError, match="maps a shell outside any one shell"):
+        loss_kraus_gather([matrix[:3, :3]], reg, "a", 0.5, [np.arange(3)])
 
 
 # ---------------------------------------------------------------------------

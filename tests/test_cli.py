@@ -565,6 +565,31 @@ def test_sampler_commands_build_the_front_state_once(tmp_path, monkeypatch, args
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("args, builds", [
+    (["witness-sweep", "--grid-points", "5", "--trials", "2000", "--seed", "4"], 5),
+    (["oracle-compare", "--trials", "20000", "--seed", "6"], 1),
+])
+def test_sampler_commands_build_one_click_table_per_phase(tmp_path, monkeypatch, args, builds):
+    # the report, the sampler and each click g2 read one table per JointStatistics
+    from optomagnon.protocol import JointStatistics
+
+    calls = []
+    build = JointStatistics._click_table.func
+
+    def counted(stats):
+        calls.append(stats.delta_phi)
+        return build(stats)
+
+    monkeypatch.setattr(JointStatistics._click_table, "func", counted)
+    cfg = _write(tmp_path, "counting.cfg", COUNTING_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = _run([args[0], "--config", cfg, *args[1:], "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_OK
+    assert len(calls) == builds
+    assert len(set(calls)) == builds  # one per phase
+
+
 @pytest.mark.parametrize("args, flag", [
     (["witness-sweep", "--grid-points", "-1"], "--grid-points"),
     (["baseline", "--grid-points", "-2"], "--grid-points"),

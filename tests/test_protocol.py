@@ -46,10 +46,12 @@ from optomagnon.fock import (
     ModeRegistry,
     MultiModeState,
     _digits,
+    _embed_block,
     apply_unitary,
     embed_single_mode,
     fidelity_with_pure,
     partial_trace,
+    sandwich,
 )
 from optomagnon.protocol import (
     HeraldError,
@@ -576,6 +578,8 @@ READ_ENGINE_CONFIGS = [
     ProtocolConfig(optical_cutoff=1, magnon_cutoff=1),
     ProtocolConfig(propagation_transmissivity_a=0.8, propagation_transmissivity_b=0.8,
                    magnon_decay_delay_ratio=0.1, detector=DetectorSpec(efficiency=0.6)),
+    ProtocolConfig(optical_cutoff=2, magnon_cutoff=2, propagation_transmissivity_a=0.0),
+    ProtocolConfig(optical_cutoff=3, magnon_cutoff=2, propagation_transmissivity_b=0.55),
 ]
 
 
@@ -606,6 +610,62 @@ def test_read_engine_is_bit_identical_to_dense_reference(cfg):
     got = read_stage(heralded, cfg)
     assert got.registry == dense.registry
     assert np.abs(got.matrix - dense.matrix).max() < 1e-13
+
+
+def _fixed_through_whole_level_loss_sums(config, rho):
+    """`_ReadOptics.fixed` as first built: the magnon decay and both anti-Stokes losses as
+    `loss_kraus_sum` CSR sandwiches, the anti-Stokes ones on each whole magnon-B level, and
+    the shell-diagonal blocks gathered only after them."""
+    co, cm, theta = config.optical_cutoff, config.magnon_cutoff, config.read_swap_angle_rad
+    antistokes = ModeRegistry.of((ANTISTOKES_A, co), (ANTISTOKES_B, co))
+    anti_a, anti_b = np.divmod(np.arange(antistokes.dimension), co + 1)
+    shells = [np.flatnonzero(anti_a + anti_b == n) for n in range(2 * co + 1)]
+    survival = math.exp(-config.magnon_decay_delay_ratio)
+    for label in (MAGNON_A, MAGNON_B):
+        rho = loss_kraus_sum(rho, loss_kraus_operators(config.magnon_registry(), label, survival))
+    arm_a = ModeRegistry.of((MAGNON_A, cm), (MAGNON_B, cm), (ANTISTOKES_A, co))
+    swap_a = _embed_block(arm_a, (ANTISTOKES_A, MAGNON_A),
+                          swap_coupler_block(SwapSpec(ANTISTOKES_A, MAGNON_A, theta), arm_a),
+                          np.arange(0, arm_a.dimension, co + 1))
+    rows = (cm + 1) * (co + 1)
+    rho = np.stack([sandwich(swap_a[a * rows:(a + 1) * rows], rho) for a in range(cm + 1)], axis=1)
+    arm_b = ModeRegistry.of((MAGNON_B, cm), (ANTISTOKES_A, co), (ANTISTOKES_B, co))
+    swap_b = _embed_block(arm_b, (ANTISTOKES_B, MAGNON_B),
+                          swap_coupler_block(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b),
+                          np.arange(0, arm_b.dimension, co + 1))
+    fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex) for idx in shells]
+    losses = [loss_kraus_operators(antistokes, ANTISTOKES_A, config.propagation_transmissivity_a),
+              loss_kraus_operators(antistokes, ANTISTOKES_B, config.propagation_transmissivity_b)]
+    d = antistokes.dimension
+    for b in range(cm + 1):
+        level = sandwich(swap_b[b * d:(b + 1) * d], rho)
+        for kraus in losses:
+            level = loss_kraus_sum(level, kraus)
+        for idx, block in zip(shells, fixed):
+            block[:, :, b] = level[..., idx[:, None], idx]
+    return fixed
+
+
+@pytest.mark.parametrize("co", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cm", [1, 2, 3, 4])
+def test_shell_loss_gathers_keep_the_bytes_of_whole_level_loss_sums(co, cm):
+    rng = np.random.default_rng(10 * co + cm)
+    dim = (cm + 1) ** 2
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    dense = a @ a.conj().T
+    sparse = dense.copy()
+    mask = rng.random((dim, dim)) < 0.4
+    sparse[mask | mask.T] = complex(-0.0, -0.0)  # a sign of zero the gather lost would show
+    rho = np.stack([dense / np.trace(dense).real, sparse])
+    for eta_a in (0.0, 0.37, 1.0):
+        for eta_b in (0.0, 0.37, 1.0):
+            for decay in (0.0, 0.3):
+                cfg = ProtocolConfig(optical_cutoff=co, magnon_cutoff=cm, propagation_transmissivity_a=eta_a,
+                                     propagation_transmissivity_b=eta_b, magnon_decay_delay_ratio=decay)
+                got = protocol._ReadOptics(cfg, rho).fixed
+                expected = _fixed_through_whole_level_loss_sums(cfg, rho)
+                assert [(b.shape, b.dtype, b.tobytes()) for b in got] == \
+                    [(b.shape, b.dtype, b.tobytes()) for b in expected], (eta_a, eta_b, decay)
 
 
 # ---------------------------------------------------------------------------

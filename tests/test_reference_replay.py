@@ -5,8 +5,9 @@ the argv and the output (or, for ``mc-run``, its sha256) that the CLI wrote
 at the default benchmark seed.  Replaying every stored op through
 ``cli.main`` with the benchmark's own argv must reproduce those bytes, a
 replayed op must lift each stage operator once (no block lifted twice) and
-build no full-space ``ModeOperator``, and every function the benchmark's
-tracer wraps must still exist by name.
+build no full-space ``ModeOperator``, a lossy witness op must apply no lifted
+loss Kraus operator, and every function the benchmark's tracer wraps must
+still exist by name.
 This file only reads ``perfbench/``.
 """
 
@@ -14,6 +15,7 @@ import ast
 import hashlib
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,30 @@ def test_each_command_lifts_each_stage_operator_once(tmp_path, op, lifts, mode_o
                                 for name, index, op in STORED_OPS if index > 0])
 def test_every_other_stored_op_is_byte_identical(tmp_path, op):
     _replay(tmp_path, op)
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=name) for name, index, op in STORED_OPS
+                                if name == "lossy-c4-witness" and index == 0])
+def test_a_lossy_witness_op_applies_no_lifted_loss_kraus_operator(tmp_path, monkeypatch, op):
+    # every loss of the read stage is an index gather (channels.loss_kraus_gather)
+    from optomagnon import channels
+
+    calls = []
+
+    def spy(name, original):
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    modules = [module for key, module in sys.modules.items() if key.startswith("optomagnon")]
+    for name in ("loss_kraus_operators", "loss_kraus_sum"):
+        original = getattr(channels, name)
+        for module in modules:  # wherever a module binds the name
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy(name, original))
+    _replay(tmp_path, op)
+    assert calls == []
 
 
 def test_every_traced_name_resolves():
