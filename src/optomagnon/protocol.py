@@ -87,9 +87,9 @@ HERALD_SIGN_OF_DETECTOR = {1: -1, 2: +1}
 REGIME_LIMIT = 0.1
 
 # Largest stage dimension (256 at the default cutoffs): admits cutoffs 8/8 (D = 6561), rejects 9/9.
-# Peak RSS of a fresh process (60 MB after imports) for entangle_stage / a 25-phase witness_exact:
-# 69 / 81 MB at cutoffs 6/6 and 75 / 99 MB at 7/7; with losses 0.8, 115 / 115 MB at 6/6 and
-# 210 / 210 MB at 7/7 (2-core Xeon VM, 1 BLAS thread).
+# Peak RSS of a fresh process (58 MB after imports) for entangle_stage / a 25-phase witness_exact:
+# 66 / 80 MB at cutoffs 6/6 and 74 / 97 MB at 7/7; with losses 0.8, 83 / 83 MB at 6/6 and
+# 117 / 117 MB at 7/7 (2-core Xeon VM, 1 BLAS thread).
 PIPELINE_MAX_DIMENSION = 8192
 
 # Herald probabilities below this are treated as no herald (HeraldError).
@@ -335,13 +335,15 @@ class EntangleFrontState:
     """Unconditioned optical/magnon state just before the herald detectors, on its Stokes sectors.
 
     ``blocks[s1, s2]`` is the (magnon A, magnon B) block of Stokes occupations (s1, s2)
-    (detector-1 port, detector-2 port).  The Stokes-off-diagonal coherences are dropped:
-    the herald's partial trace and every trace read only Stokes-diagonal entries.
+    (detector-1 port, detector-2 port).  The Stokes-off-diagonal coherences are never
+    built: the herald's partial trace and every trace read only Stokes-diagonal entries.
     ``truncation_estimate`` collects squeezer tails, thermal leakage and any trace drift.
     The optics before the thermal step (``_optical_front``) carry the state on its support
-    through operators lifted onto that support alone, then build a read-only stack that a
-    thermal sweep shares across its points; where neither the overlay nor a trace divide
-    changes it, ``blocks`` is that shared stack itself.
+    through operators lifted onto that support alone; the herald beamsplitter, which keeps
+    the total Stokes number, then runs per total-Stokes-number shell and writes only the
+    sector-diagonal entries, into a read-only stack that a thermal sweep shares across its
+    points.  Where neither the overlay nor a trace divide changes it, ``blocks`` is that
+    shared stack itself.
     """
 
     blocks: np.ndarray
@@ -408,15 +410,41 @@ def _product_thermal(nbar: float, cutoff: int) -> np.ndarray:
     return np.kron(np.diag(w), np.diag(w)).astype(complex)
 
 
-def _lift_front(config: ProtocolConfig) -> tuple[list, np.ndarray, float]:
+def _shell_layout(shell: np.ndarray, n_shells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions grouped by ``shell`` (each position's shell number), in ascending order
+    within a shell: each position's index in its shell, the (shells x largest shell) table of
+    each shell's positions padded with 0, and each shell's size."""
+    sizes = np.bincount(shell, minlength=n_shells)
+    order = np.argsort(shell, kind="stable")
+    local = np.empty_like(order)
+    local[order] = np.arange(shell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    table = np.zeros((n_shells, sizes.max()), dtype=int)
+    table[shell, local] = np.arange(shell.size)
+    return local, table, sizes
+
+
+def _lift_front(config: ProtocolConfig) -> tuple[list, tuple, tuple[int, int], float]:
     """The entangling optics of ``config`` up to (not including) the herald detectors, on
-    (Stokes A, Stokes B, magnon A, magnon B): each step's small blocks (its Kraus blocks; a
-    unitary is one block, the lossless loss has none) lifted (`_lift_step`) onto the support
-    the steps before it leave, from the start: the vacuum, or the whole magnon block of
-    Stokes sector (0, 0) when ``squeezed_thermal`` seeds the squeezers.  Returns the steps as
-    (support size, terms) for `_support_step`, the final support and the squeezer-tail
-    truncation.  The chain depends only on the start; the temperature is read only to pick it."""
+    (Stokes A, Stokes B, magnon A, magnon B), from the start: the vacuum, or the whole magnon
+    block of Stokes sector (0, 0) when ``squeezed_thermal`` seeds the squeezers.  The steps
+    before the herald beamsplitter have their small blocks (Kraus blocks; a unitary is one
+    block, the lossless loss has none) lifted (`_lift_step`) onto the support the steps
+    before them leave, as (support size, terms) for `_support_step`.  The herald beamsplitter
+    is lifted once onto the last support ``S``.  It conserves the total Stokes number
+    ``s1 + s2`` and only its Stokes-sector-diagonal output is read, so `_optical_front`
+    applies it per total-Stokes-number shell through index arrays built here, with q and p
+    the largest input and output shell:
+      ``gather``     (|S|, q) flat indices of each state row's entries in its own shell;
+      ``transpose``  (|S|, p) flat indices into the (output rows, q) product that take each
+                     shell's transpose;
+      ``kept``, ``put``  flat indices of the same-sector entries in the (output rows, p)
+                     product, and of their places in the (co+1, co+1, d_m, d_m) stack.
+    Returns the steps, the herald as (its CSR matrix, gather, transpose, kept, put), the
+    magnon corner (levels below it per mode) outside which the stack is zero, and the
+    squeezer-tail truncation.  The chain depends only on the start; the temperature is read
+    only to pick it."""
     co, cm = config.optical_cutoff, config.magnon_cutoff
+    d_m = (cm + 1) ** 2
     registry = ModeRegistry.of((STOKES_A, co), (STOKES_B, co), (MAGNON_A, cm), (MAGNON_B, cm))
 
     # The symmetric 50/50 splitter leaves the classical pump amplitudes alpha/sqrt(2) in arm A
@@ -438,25 +466,44 @@ def _lift_front(config: ProtocolConfig) -> tuple[list, np.ndarray, float]:
     for stokes, eta in ((STOKES_A, config.propagation_transmissivity_a),
                         (STOKES_B, config.propagation_transmissivity_b)):
         steps.append(((stokes,), loss_kraus_blocks(registry, stokes, eta)))
-    herald_bs = beamsplitter_block(BeamsplitterSpec(STOKES_A, STOKES_B), registry)
-    steps.append(((STOKES_A, STOKES_B), [herald_bs]))
 
-    support = np.arange((cm + 1) ** 2 if _seeded_thermal(config) else 1)
+    support = np.arange(d_m if _seeded_thermal(config) else 1)
     chain = []
     for labels, blocks in steps:
         support, terms = _lift_step(registry, labels, blocks, support)
         chain.append((support.size, terms))
-    return chain, support, truncation
+
+    herald_bs = beamsplitter_block(BeamsplitterSpec(STOKES_A, STOKES_B), registry)
+    rows, op = lift_block(registry, (STOKES_A, STOKES_B), herald_bs, support)
+    shell_in, shell_out = (sum(np.divmod(indices // d_m, co + 1)) for indices in (support, rows))
+    local_in, table_in, _ = _shell_layout(shell_in, 2 * co + 1)
+    _, table_out, sizes_out = _shell_layout(shell_out, 2 * co + 1)
+    gather = np.arange(support.size)[:, None] * support.size + table_in[shell_in]
+    transpose = table_out[shell_in] * table_in.shape[1] + local_in[:, None]
+    sector, magnons = np.divmod(rows, d_m)
+    partner = table_out[shell_out]  # the output rows of each output row's shell
+    kept = np.flatnonzero((np.arange(partner.shape[1]) < sizes_out[shell_out, None])
+                          & (sector[partner] == sector[:, None]))
+    row, col = np.divmod(kept, partner.shape[1])
+    put = (sector[row] * d_m + magnons[row]) * d_m + magnons[partner[row, col]]
+    corner = tuple(int(levels.max()) + 1 for levels in np.divmod(magnons, cm + 1))
+    return chain, (op, gather, transpose, kept, put), corner, truncation
 
 
 def _optical_front(config: ProtocolConfig, lifted: tuple) -> tuple[np.ndarray, float, tuple[int, int]]:
     """The entangling optics up to (not including) the herald detectors, before the thermal
     step: the start state is carried through the `_lift_front` steps ``lifted`` of
-    ``config``, then split into Stokes sectors.  Returns the read-only sector stack, the
-    squeezer-tail truncation and the magnon corner (levels below it per mode) outside which
-    the stack is zero.  The temperature is read only when ``squeezed_thermal`` seeds the
-    squeezers."""
-    chain, support, truncation = lifted
+    ``config``, and the herald beamsplitter writes straight into the Stokes-sector stack.
+    The herald is one sandwich over all total-Stokes-number shells: the state's same-shell
+    entries are gathered into a (|S|, q) stack, the lifted CSR matrix multiplies it, each
+    shell's conjugate transpose is gathered, the matrix multiplies that, and the
+    same-sector entries are scattered into the stack.  Each kept element sums the same
+    stored entries in the same order as a sandwich over the whole support would, so it has
+    its bits.
+    Returns the read-only sector stack, the squeezer-tail truncation and the magnon corner
+    outside which the stack is zero.  The temperature is read only when
+    ``squeezed_thermal`` seeds the squeezers."""
+    chain, (op, gather, transpose, kept, put), corner, truncation = lifted
     co, cm = config.optical_cutoff, config.magnon_cutoff
     d_m = (cm + 1) ** 2
 
@@ -467,13 +514,10 @@ def _optical_front(config: ProtocolConfig, lifted: tuple) -> tuple[np.ndarray, f
     for size, terms in chain:
         rho = _support_step(size, terms, rho)
 
+    half = np.conjugate(np.take(op @ np.take(rho, gather), transpose))  # (op rho)+ per shell
     blocks = np.zeros((co + 1, co + 1, d_m, d_m), dtype=complex)
-    sector, magnons = np.divmod(support, d_m)
-    for k in np.unique(sector):
-        at = np.flatnonzero(sector == k)
-        blocks[divmod(k, co + 1)][np.ix_(magnons[at], magnons[at])] = rho[np.ix_(at, at)]
+    blocks.reshape(-1)[put] = np.take(op @ half, kept)
     blocks.flags.writeable = False
-    corner = tuple(int(levels.max()) + 1 for levels in np.divmod(magnons, cm + 1))
     return blocks, truncation, corner
 
 
@@ -616,7 +660,8 @@ class JointStatistics:
     those occupations in the Stokes detector-1/2 and anti-Stokes
     detector-1/2 ports of one unconditioned run at a fixed read phase.
     ``stokes_below_floor[j - 1]`` is the weight of Stokes detector j's light if all of it is below
-    ``STOKES_SECTOR_FLOOR``, so that the exact engine reads none of it (else 0).
+    ``STOKES_SECTOR_FLOOR``, so that the exact engine reads none of it, nor the anti-Stokes light
+    of the magnons in those sectors (else 0).
     """
 
     delta_phi: float
@@ -634,6 +679,9 @@ class JointStatistics:
         if stokes <= 0.0 < self.stokes_below_floor[j - 1]:
             vanished[0] = (f"the Stokes light at Stokes detector {j} is below STOKES_SECTOR_FLOOR = "
                            f"{STOKES_SECTOR_FLOOR:.1e} (weight {self.stokes_below_floor[j - 1]:.3e})")
+            if anti <= 0.0:  # the magnons paired with that light went with its sectors
+                vanished[1] = (f"any anti-Stokes light at anti-Stokes detector {i} was dropped "
+                               "with those Stokes sectors")
         raise ZeroIntensityError(f"a detector {kind} vanished: " + "; ".join(vanished or [
             f"the Stokes {kind} {stokes!r} times the anti-Stokes {kind} {anti!r} underflows"]))
 

@@ -762,18 +762,26 @@ def test_a_vanished_intensity_names_the_light_and_its_detector(tmp_path, capsys,
     assert capsys.readouterr().err == f"runtime error: a detector intensity vanished: {message}\n"
 
 
+@pytest.mark.parametrize("command, kind", [
+    (["witness-sweep", "--grid-points", "3"], "intensity"),
+    (["oracle-compare", "--trials", "1000"], "click rate"),
+])
 @pytest.mark.parametrize("text, weight, rest", [
+    # the magnons paired with the faint Stokes light, and their anti-Stokes light, go with its sectors
     pytest.param("stokes_probability = 1e-160\ntemperature_k = 0\n", "5.000e-163",
-                 "; no anti-Stokes light reaches anti-Stokes detector 1", id="faint-scattering-cold"),
+                 "; any anti-Stokes light at anti-Stokes detector 1 was dropped with those Stokes sectors",
+                 id="faint-scattering-cold"),
     pytest.param("pulse_mean_photons = 1e-320\n", "4.941e-323", "", id="faint-pulse"),
 ])
-def test_a_stokes_light_below_the_sector_floor_is_named_as_such(tmp_path, capsys, text, weight, rest):
+def test_a_stokes_light_below_the_sector_floor_is_named_as_such(tmp_path, capsys, command, kind, text,
+                                                                weight, rest):
     # the light is there, but every Stokes sector holding it weighs less than STOKES_SECTOR_FLOOR;
     # the sampler reads the same statistics and draws no Stokes click
     cfg = _write(tmp_path, "faint.cfg", text)
-    assert _run(["witness-sweep", "--config", cfg, "--grid-points", "3"]) == EXIT_RUNTIME_ERROR
+    assert _run([command[0], "--config", cfg, *command[1:], "--out", str(tmp_path / "o.csv")]) == (
+        EXIT_RUNTIME_ERROR)
     assert capsys.readouterr().err == (
-        "runtime error: a detector intensity vanished: the Stokes light at Stokes detector 1 is below "
+        f"runtime error: a detector {kind} vanished: the Stokes light at Stokes detector 1 is below "
         f"STOKES_SECTOR_FLOOR = 1.0e-18 (weight {weight}){rest}\n")
     out = tmp_path / "records.csv"
     assert _run(["mc-run", "--config", cfg, "--trials", "1000", "--out", str(out)]) == EXIT_OK
