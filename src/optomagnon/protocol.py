@@ -642,9 +642,10 @@ def read_stage(heralded: HeraldedState, config: ProtocolConfig) -> DensityOperat
     """
     optics = _ReadOptics(config, heralded.rho_magnons.matrix[None])
     cm, d = config.magnon_cutoff, optics.antistokes.dimension
-    mixed = np.zeros((cm + 1, cm + 1, d, d), dtype=complex)  # zero off the shells
-    for idx, block in zip(optics.shells, optics.phase_and_mix(config.read_phase_rad)):
-        mixed[..., idx[:, None], idx] = block[0]
+    rows, slots = np.nonzero(optics._in_shell)
+    stack = np.zeros(((cm + 1) ** 2, d, d), dtype=complex)  # zero off the shells
+    stack[:, rows, optics._columns[rows, slots]] = optics.phased(config.read_phase_rad)[rows, slots].T
+    mixed = sandwich(optics.closing, stack).reshape(cm + 1, cm + 1, d, d)
     return DensityOperator(optics.antistokes, mixed.sum(axis=(0, 1)))
 
 
@@ -758,22 +759,30 @@ class _ReadOptics:
     beamsplitter conserves the photon number and the detectors read only its
     output diagonals.  Both anti-Stokes losses then run on those blocks alone,
     since loss Kraus k takes shell n + k to shell n on ket and bra alike.  The
-    swaps and the closing beamsplitter are lifted on the modes they touch (the
-    swaps onto their anti-Stokes-vacuum columns only, the closing beamsplitter
-    onto each shell), with the entries and per-row order of the full-space
-    lift there; every loss, the magnon decay too, is `loss_kraus_gather`'s index
-    gather.  So kept elements match the full-space sandwiches bit for bit.
+    swaps are lifted onto their anti-Stokes-vacuum columns only and the closing
+    beamsplitter once onto the whole anti-Stokes space (each row's stored
+    entries lie in its own shell), with the entries and per-row order of the
+    full-space lift there; every loss, the magnon decay too, is
+    `loss_kraus_gather`'s index gather.  So kept elements match the full-space
+    sandwiches bit for bit.
+
+    ``fixed`` holds those phase-independent blocks in one padded layout,
+    (anti-Stokes row, column within its shell, stack), zero past each shell's
+    size, with the stack (sector, magnon A, magnon B) as the contiguous last
+    axis.  Each read phase is then `phased` into one buffer, and
+    `detector_diagonals` takes one closing-beamsplitter product for all shells
+    and reads only the output diagonals from it.
     """
 
     def __init__(self, config: ProtocolConfig, rho: np.ndarray):
         co, cm, theta = config.optical_cutoff, config.magnon_cutoff, config.read_swap_angle_rad
         self.antistokes = ModeRegistry.of((ANTISTOKES_A, co), (ANTISTOKES_B, co))
-        self._anti_a_numbers, anti_b = np.divmod(np.arange(self.antistokes.dimension), co + 1)
-        # basis indices of each anti-Stokes photon-number shell, and the closing beamsplitter lifted onto it
-        self.shells = [np.flatnonzero(self._anti_a_numbers + anti_b == n) for n in range(2 * co + 1)]
-        closing_bs = beamsplitter_block(BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.antistokes)
-        self._closing = [lift_block(self.antistokes, (ANTISTOKES_A, ANTISTOKES_B), closing_bs, idx)[1]
-                         for idx in self.shells]
+        d = self.antistokes.dimension
+        self._anti_a_numbers, anti_b = np.divmod(np.arange(d), co + 1)
+        # each basis index's place in its anti-Stokes photon-number shell, and each shell's indices
+        shell = self._anti_a_numbers + anti_b
+        local, table, sizes = _shell_layout(shell, 2 * co + 1)
+        shells = [row[:size] for row, size in zip(table, sizes)]
         # the phase-independent decay, swaps and losses of the stack ``rho``,
         # as blocks [sector, n_magnon_a, n_magnon_b, anti-Stokes shell^2]
         survival = math.exp(-config.magnon_decay_delay_ratio)  # 1, lossless, without decay
@@ -796,23 +805,60 @@ class _ReadOptics:
         swap_b = _embed_block(arm_b, (ANTISTOKES_B, MAGNON_B),
                               swap_coupler_block(SwapSpec(ANTISTOKES_B, MAGNON_B, theta), arm_b),
                               np.arange(0, arm_b.dimension, co + 1))
-        self.fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex)
-                      for idx in self.shells]
-        d = self.antistokes.dimension
+        fixed = [np.zeros(rho.shape[:2] + (cm + 1, idx.size, idx.size), dtype=complex) for idx in shells]
         for b in range(cm + 1):
             level = sandwich(swap_b[b * d:(b + 1) * d], rho)
-            for idx, fixed in zip(self.shells, self.fixed):
-                fixed[:, :, b] = level[..., idx[:, None], idx]
+            for idx, block in zip(shells, fixed):
+                block[:, :, b] = level[..., idx[:, None], idx]
         # both anti-Stokes losses take shell n + k to shell n on ket and bra alike
         for label, eta in ((ANTISTOKES_A, config.propagation_transmissivity_a),
                            (ANTISTOKES_B, config.propagation_transmissivity_b)):
-            self.fixed = loss_kraus_gather(self.fixed, self.antistokes, label, eta, self.shells)
+            fixed = loss_kraus_gather(fixed, self.antistokes, label, eta, shells)
+        stack = math.prod(fixed[0].shape[:3])
+        self.fixed = np.zeros((d, table.shape[1], stack), dtype=complex)
+        for idx, block in zip(shells, fixed):
+            self.fixed[idx, :idx.size] = block.reshape(stack, idx.size, idx.size).transpose(1, 2, 0)
+        self._phased = None  # made by the first `phased` call, once the temporaries above are freed
+        # the basis index of each (row, column within its shell) slot, and which slots lie
+        # inside the row's shell rather than in its padding
+        self._columns, self._in_shell = table[shell], np.arange(table.shape[1]) < sizes[shell, None]
+        # the closing beamsplitter, and its stored entries as (row, column within the row's
+        # shell) weights, real and imaginary parts apart; a slot it stores nothing in weighs 0
+        closing_bs = beamsplitter_block(BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), self.antistokes)
+        _, self.closing = lift_block(self.antistokes, (ANTISTOKES_A, ANTISTOKES_B), closing_bs, np.arange(d))
+        entries = self.closing.tocoo()
+        weights = np.zeros((d, table.shape[1], 1), dtype=complex)
+        weights[entries.row, local[entries.col], 0] = entries.data
+        self._weights = (weights.real.copy(), weights.imag.copy())
 
-    def phase_and_mix(self, delta_phi: float) -> list[np.ndarray]:
-        """Arm-A read phase and closing beamsplitter on every fixed shell block."""
+    def phased(self, delta_phi: float) -> np.ndarray:
+        """``fixed`` with the arm-A read phase on ket and bra (numpy's two complex multiplies per
+        element, ket first), in a buffer that the next call overwrites."""
         phases = np.exp(1j * delta_phi * self._anti_a_numbers)
-        return [sandwich(op, block * phases[idx, None] * phases[None, idx].conj())
-                for idx, op, block in zip(self.shells, self._closing, self.fixed)]
+        self._phased = np.multiply(self.fixed, phases[:, None, None], out=self._phased)
+        return np.multiply(self._phased, phases.conj()[self._columns, None], out=self._phased)
+
+    def detector_diagonals(self, delta_phi: float) -> np.ndarray:
+        """Anti-Stokes number probabilities at read phase ``delta_phi``: the diagonal of each
+        stack matrix behind the closing beamsplitter, as (stack, anti-Stokes basis).
+
+        One CSR product makes ``half = op x`` for every shell at once.  Diagonal element r of
+        ``op half+`` is the sum of ``op[r, c] conj(half[r, c])`` over row r's stored entries in
+        stored (column) order onto +0.0; it is summed here with scipy's real part of that
+        product, ``op.re h.re - op.im (-h.im)``, written as ``op.re h.re + op.im h.im`` in real
+        arithmetic (the same bits).  A slot the row stores nothing in adds a signed zero, which
+        leaves a sum begun at +0.0 unchanged.  So each diagonal has the bits of the per-shell
+        sandwich's, and no off-diagonal output is built."""
+        d, q, stack = self.fixed.shape
+        half = (self.closing @ self.phased(delta_phi).reshape(d, q * stack)).reshape(d, q, stack)
+        re, im = half.real, half.imag
+        np.multiply(re, self._weights[0], out=re)
+        np.multiply(im, self._weights[1], out=im)
+        np.add(re, im, out=re)
+        diagonals = np.zeros((stack, d))
+        for c in range(q):
+            diagonals += re[:, c].T
+        return diagonals
 
 
 def _stokes_sector_blocks(front: EntangleFrontState) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -832,9 +878,7 @@ def _phase_statistics(config: ProtocolConfig, phase_grid: Sequence[float],
     out = []
     for delta_phi in phase_grid:
         probs = np.zeros((co + 1, co + 1, co + 1, co + 1))
-        diags = np.zeros((len(sectors), cm + 1, cm + 1, (co + 1) ** 2))
-        for idx, mixed in zip(optics.shells, optics.phase_and_mix(float(delta_phi))):
-            diags[..., idx] = np.diagonal(mixed, axis1=-2, axis2=-1).real
+        diags = optics.detector_diagonals(float(delta_phi)).reshape(len(sectors), cm + 1, cm + 1, -1)
         for (s1, s2), diag in zip(sectors, diags):
             # a contiguous (cm+1, cm+1, co+1, co+1) array fixes the summation order
             probs[s1, s2] += diag.reshape(cm + 1, cm + 1, co + 1, co + 1).sum(axis=(0, 1))

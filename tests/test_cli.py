@@ -195,6 +195,15 @@ def test_fidelity_sweep_lifts_nothing_after_its_first_point(tmp_path, lifts, mod
     assert mode_operators == []
 
 
+def test_reference_point_exact_ops_lift_seven_blocks(tmp_path, lifts):
+    # the front's two squeezers, pair phase and herald beamsplitter, the two read swaps, and
+    # the closing beamsplitter once for every anti-Stokes photon-number shell
+    for argv in (["witness-sweep"], ["oracle-compare", "--trials", "1000"]):
+        start = len(lifts)
+        assert _run(argv + ["--out", str(tmp_path / "o.csv")]) in (EXIT_OK, EXIT_ORACLE_FAILURE)
+        assert len(lifts) - start == 7, argv
+
+
 def test_fidelity_sweep_zero_thermal_row(tmp_path):
     out = tmp_path / "fid0.csv"
     code = _run(["fidelity-sweep", "--sweep", "nbar_override:0.0:0.0:1", "--out", str(out)])

@@ -50,6 +50,7 @@ from optomagnon.fock import (
     apply_unitary,
     embed_single_mode,
     fidelity_with_pure,
+    lift_block,
     partial_trace,
     sandwich,
 )
@@ -204,7 +205,7 @@ def test_front_matrix_is_released_before_the_phase_loop(monkeypatch):
     # the sector blocks are taken from the front's block stack; neither it
     # nor a view of it may stay alive into the per-phase read optics
     fronts, alive_at_mix = [], []
-    build, mix = protocol.entangle_front_state, protocol._ReadOptics.phase_and_mix
+    build, mix = protocol.entangle_front_state, protocol._ReadOptics.detector_diagonals
 
     def traced_build(config):
         front = build(config)
@@ -216,7 +217,7 @@ def test_front_matrix_is_released_before_the_phase_loop(monkeypatch):
         return mix(self, delta_phi)
 
     monkeypatch.setattr(protocol, "entangle_front_state", traced_build)
-    monkeypatch.setattr(protocol._ReadOptics, "phase_and_mix", traced_mix)
+    monkeypatch.setattr(protocol._ReadOptics, "detector_diagonals", traced_mix)
     exact_phase_statistics(ProtocolConfig(), np.linspace(0.0, 2.0 * math.pi, 4))
     assert len(fronts) == 1
     assert alive_at_mix == [False] * 4
@@ -615,7 +616,8 @@ def test_read_engine_is_bit_identical_to_dense_reference(cfg):
 def _fixed_through_whole_level_loss_sums(config, rho):
     """`_ReadOptics.fixed` as first built: the magnon decay and both anti-Stokes losses as
     `loss_kraus_sum` CSR sandwiches, the anti-Stokes ones on each whole magnon-B level, and
-    the shell-diagonal blocks gathered only after them."""
+    the shell-diagonal blocks gathered only after them; then laid out as `_ReadOptics.fixed`
+    is, by (anti-Stokes row, column within its shell, stack), zero past each shell."""
     co, cm, theta = config.optical_cutoff, config.magnon_cutoff, config.read_swap_angle_rad
     antistokes = ModeRegistry.of((ANTISTOKES_A, co), (ANTISTOKES_B, co))
     anti_a, anti_b = np.divmod(np.arange(antistokes.dimension), co + 1)
@@ -643,20 +645,28 @@ def _fixed_through_whole_level_loss_sums(config, rho):
             level = loss_kraus_sum(level, kraus)
         for idx, block in zip(shells, fixed):
             block[:, :, b] = level[..., idx[:, None], idx]
-    return fixed
+    padded = np.zeros((d, co + 1, rho.shape[0] * (cm + 1) ** 2), dtype=complex)
+    for idx, block in zip(shells, fixed):
+        padded[idx, :idx.size] = block.reshape(-1, idx.size, idx.size).transpose(1, 2, 0)
+    return padded
+
+
+def _stack_with_signed_zeros(seed, dim):
+    """A two-matrix stack: a random density and a random Hermitian matrix with exact -0.0
+    entries, whose sign a lost zero would show."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    dense = a @ a.conj().T
+    sparse = dense.copy()
+    mask = rng.random((dim, dim)) < 0.4
+    sparse[mask | mask.T] = complex(-0.0, -0.0)
+    return np.stack([dense / np.trace(dense).real, sparse])
 
 
 @pytest.mark.parametrize("co", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cm", [1, 2, 3, 4])
 def test_shell_loss_gathers_keep_the_bytes_of_whole_level_loss_sums(co, cm):
-    rng = np.random.default_rng(10 * co + cm)
-    dim = (cm + 1) ** 2
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    dense = a @ a.conj().T
-    sparse = dense.copy()
-    mask = rng.random((dim, dim)) < 0.4
-    sparse[mask | mask.T] = complex(-0.0, -0.0)  # a sign of zero the gather lost would show
-    rho = np.stack([dense / np.trace(dense).real, sparse])
+    rho = _stack_with_signed_zeros(10 * co + cm, (cm + 1) ** 2)
     for eta_a in (0.0, 0.37, 1.0):
         for eta_b in (0.0, 0.37, 1.0):
             for decay in (0.0, 0.3):
@@ -664,8 +674,55 @@ def test_shell_loss_gathers_keep_the_bytes_of_whole_level_loss_sums(co, cm):
                                      propagation_transmissivity_b=eta_b, magnon_decay_delay_ratio=decay)
                 got = protocol._ReadOptics(cfg, rho).fixed
                 expected = _fixed_through_whole_level_loss_sums(cfg, rho)
-                assert [(b.shape, b.dtype, b.tobytes()) for b in got] == \
-                    [(b.shape, b.dtype, b.tobytes()) for b in expected], (eta_a, eta_b, decay)
+                assert (got.shape, got.dtype, got.tobytes()) == \
+                    (expected.shape, expected.dtype, expected.tobytes()), (eta_a, eta_b, decay)
+
+
+def _per_shell_closing(co):
+    """Each anti-Stokes photon-number shell's basis indices and the closing beamsplitter lifted
+    onto them."""
+    antistokes = ModeRegistry.of((ANTISTOKES_A, co), (ANTISTOKES_B, co))
+    closing_bs = beamsplitter_block(BeamsplitterSpec(ANTISTOKES_A, ANTISTOKES_B), antistokes)
+    anti_a, anti_b = np.divmod(np.arange(antistokes.dimension), co + 1)
+    shells = [np.flatnonzero(anti_a + anti_b == n) for n in range(2 * co + 1)]
+    return [(idx, lift_block(antistokes, (ANTISTOKES_A, ANTISTOKES_B), closing_bs, idx)[1]) for idx in shells]
+
+
+def _per_shell_diagonals(optics, closing, delta_phi):
+    """`_ReadOptics.detector_diagonals` as first computed: per anti-Stokes photon-number
+    shell, the closing beamsplitter lifted onto that shell (``closing``) sandwiches the phased
+    shell blocks of ``fixed`` (`fock.sandwich`, the whole output), and `np.diagonal` takes
+    the diagonal."""
+    d, _, stack = optics.fixed.shape
+    anti_a = np.arange(d) // (optics.antistokes.cutoff_of(ANTISTOKES_A) + 1)
+    phases = np.exp(1j * delta_phi * anti_a)
+    out = np.zeros((stack, d))
+    for idx, op in closing:
+        block = np.ascontiguousarray(optics.fixed[idx, :idx.size].transpose(2, 0, 1))
+        mixed = sandwich(op, block * phases[idx, None] * phases[None, idx].conj())
+        out[:, idx] = np.diagonal(mixed, axis1=-2, axis2=-1).real
+    return out
+
+
+@pytest.mark.parametrize("co", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("cm", [1, 2, 3, 4])
+def test_detector_diagonals_keep_the_bytes_of_per_shell_sandwiches(co, cm):
+    rho = _stack_with_signed_zeros(100 + 10 * co + cm, (cm + 1) ** 2)
+    closing = _per_shell_closing(co)
+    for eta_a in (0.0, 0.37, 1.0):
+        for eta_b in (0.0, 0.37, 1.0):
+            for decay in (0.0, 0.3):
+                for angle in (0.2, math.pi / 2):
+                    cfg = ProtocolConfig(optical_cutoff=co, magnon_cutoff=cm, propagation_transmissivity_a=eta_a,
+                                         propagation_transmissivity_b=eta_b, magnon_decay_delay_ratio=decay,
+                                         read_swap_angle_rad=angle)
+                    optics = protocol._ReadOptics(cfg, rho)
+                    for delta_phi in (0.0, math.pi / 2, math.pi, 2.0 * math.pi, 0.9):
+                        got = optics.detector_diagonals(delta_phi)
+                        expected = _per_shell_diagonals(optics, closing, delta_phi)
+                        assert (got.shape, got.dtype, got.tobytes()) == \
+                            (expected.shape, expected.dtype, expected.tobytes()), \
+                            (eta_a, eta_b, decay, angle, delta_phi)
 
 
 # ---------------------------------------------------------------------------
